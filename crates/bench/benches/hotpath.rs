@@ -9,8 +9,9 @@
 //!    insert/probe, replica-mask membership). These prove the PR-5 swap
 //!    actually bought throughput.
 //! 2. **Substrate benches** — accesses/sec through the real components
-//!    (`Directory::access`, `Tlb::record_llc_miss`, LLC, DRAM), which now
-//!    run on `DetMap` internally.
+//!    (`Directory::access`, `Tlb::record_llc_miss`, LLC, DRAM). The TLB
+//!    runs on `DetMap` internally; the directory is a dense array indexed
+//!    by block frame number.
 //! 3. **End-to-end** — full `Experiment` phases, in simulated instructions
 //!    per wall second.
 //!

@@ -98,30 +98,24 @@ impl Observe for CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64, // larger = more recently used
-}
-
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
+/// Tag of an empty way (no block address has this frame number).
+const EMPTY: u64 = u64::MAX;
 
 /// An LRU set-associative cache of 64 B blocks.
 ///
 /// Used as each socket's shared LLC: it filters the memory-access stream
 /// (only misses reach the interconnect) and tracks dirty state so evictions
 /// generate writeback traffic.
+///
+/// Ways are stored as two parallel arrays so a lookup scans only tags (one
+/// `u64` per way): `tags` holds each way's block frame number or [`EMPTY`],
+/// and `meta` holds `lru << 1 | dirty`, where a larger `lru` is more
+/// recently used.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    meta: Vec<u64>,
     tick: u64,
     stats: CacheStats,
 }
@@ -140,7 +134,8 @@ impl SetAssocCache {
         );
         assert!(config.ways > 0, "associativity must be positive");
         SetAssocCache {
-            lines: vec![INVALID; config.sets * config.ways],
+            tags: vec![EMPTY; config.sets * config.ways],
+            meta: vec![0; config.sets * config.ways],
             config,
             tick: 0,
             stats: CacheStats::default(),
@@ -157,84 +152,74 @@ impl SetAssocCache {
         self.stats
     }
 
-    fn set_range(&self, block: BlockAddr) -> (usize, u64) {
-        let set = (block.bfn() as usize) & (self.config.sets - 1);
-        (set * self.config.ways, block.bfn())
+    /// The way range of `block`'s set, and its tag.
+    fn set_range(&self, block: BlockAddr) -> (core::ops::Range<usize>, u64) {
+        let tag = block.bfn();
+        debug_assert_ne!(tag, EMPTY, "block frame number collides with the empty tag");
+        let base = ((tag as usize) & (self.config.sets - 1)) * self.config.ways;
+        (base..base + self.config.ways, tag)
     }
 
     /// Accesses `block`; `is_write` marks the line dirty on hit or fill.
     pub fn access(&mut self, block: BlockAddr, is_write: bool) -> CacheOutcome {
         self.tick += 1;
-        let (base, tag) = self.set_range(block);
-        let ways = self.config.ways;
-        // Hit?
-        for i in base..base + ways {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= is_write;
-                self.stats.hits += 1;
-                return CacheOutcome::Hit;
-            }
+        let (ways, tag) = self.set_range(block);
+        let base = ways.start;
+        let tags = &self.tags[ways.clone()];
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            let meta = &mut self.meta[base + way];
+            *meta = self.tick << 1 | (*meta & 1) | u64::from(is_write);
+            self.stats.hits += 1;
+            return CacheOutcome::Hit;
         }
-        // Miss: find invalid way or LRU victim.
+        // Miss: the first empty way, else the first way with the minimum LRU.
         self.stats.misses += 1;
-        let mut victim = base;
-        let mut victim_lru = u64::MAX;
-        for i in base..base + ways {
-            if !self.lines[i].valid {
-                victim = i;
-                break;
+        let victim = base
+            + tags.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
+                let meta = &self.meta[ways];
+                let mut victim = 0;
+                for (way, &m) in meta.iter().enumerate().skip(1) {
+                    if m >> 1 < meta[victim] >> 1 {
+                        victim = way;
+                    }
+                }
+                victim
+            });
+        let evicted = match self.tags[victim] {
+            EMPTY => None,
+            old => {
+                let dirty = self.meta[victim] & 1 == 1;
+                if dirty {
+                    self.stats.writebacks += 1;
+                }
+                Some((BlockAddr::new(old), dirty))
             }
-            if self.lines[i].lru < victim_lru {
-                victim = i;
-                victim_lru = self.lines[i].lru;
-            }
-        }
-        let old = self.lines[victim];
-        let evicted = if old.valid {
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            Some((BlockAddr::new(old.tag), old.dirty))
-        } else {
-            None
         };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.tick,
-        };
+        self.tags[victim] = tag;
+        self.meta[victim] = self.tick << 1 | u64::from(is_write);
         CacheOutcome::Miss { evicted }
     }
 
     /// Returns `true` if `block` is currently cached (no LRU update).
     pub fn contains(&self, block: BlockAddr) -> bool {
-        let (base, tag) = self.set_range(block);
-        self.lines[base..base + self.config.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (ways, tag) = self.set_range(block);
+        self.tags[ways].contains(&tag)
     }
 
     /// Invalidates `block` if present; returns whether it was dirty.
     ///
     /// Used for coherence back-invalidations.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let (base, tag) = self.set_range(block);
-        for i in base..base + self.config.ways {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                return Some(line.dirty);
-            }
-        }
-        None
+        let (ways, tag) = self.set_range(block);
+        let way = ways.start + self.tags[ways].iter().position(|&t| t == tag)?;
+        self.tags[way] = EMPTY;
+        Some(self.meta[way] & 1 == 1)
     }
 
     /// Empties the cache and clears statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(INVALID);
+        self.tags.fill(EMPTY);
+        self.meta.fill(0);
         self.tick = 0;
         self.stats = CacheStats::default();
     }
@@ -410,6 +395,166 @@ mod proptests {
             }
             let s = c.stats();
             assert_eq!(s.misses, 4); // only the cold misses
+        }
+    }
+}
+
+/// The array-of-lines LRU cache the packed layout replaced, kept as the
+/// reference model for [`SetAssocCache`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Clone, Copy)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64, // larger = more recently used
+    }
+
+    const INVALID: Line = Line {
+        tag: 0,
+        valid: false,
+        dirty: false,
+        lru: 0,
+    };
+
+    pub struct RefCache {
+        config: CacheConfig,
+        lines: Vec<Line>,
+        tick: u64,
+        pub stats: CacheStats,
+    }
+
+    impl RefCache {
+        pub fn new(config: CacheConfig) -> Self {
+            RefCache {
+                lines: vec![INVALID; config.sets * config.ways],
+                config,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_range(&self, block: BlockAddr) -> (usize, u64) {
+            let set = (block.bfn() as usize) & (self.config.sets - 1);
+            (set * self.config.ways, block.bfn())
+        }
+
+        pub fn access(&mut self, block: BlockAddr, is_write: bool) -> CacheOutcome {
+            self.tick += 1;
+            let (base, tag) = self.set_range(block);
+            let ways = self.config.ways;
+            for line in &mut self.lines[base..base + ways] {
+                if line.valid && line.tag == tag {
+                    line.lru = self.tick;
+                    line.dirty |= is_write;
+                    self.stats.hits += 1;
+                    return CacheOutcome::Hit;
+                }
+            }
+            self.stats.misses += 1;
+            let mut victim = base;
+            let mut victim_lru = u64::MAX;
+            for i in base..base + ways {
+                if !self.lines[i].valid {
+                    victim = i;
+                    break;
+                }
+                if self.lines[i].lru < victim_lru {
+                    victim = i;
+                    victim_lru = self.lines[i].lru;
+                }
+            }
+            let old = self.lines[victim];
+            let evicted = if old.valid {
+                if old.dirty {
+                    self.stats.writebacks += 1;
+                }
+                Some((BlockAddr::new(old.tag), old.dirty))
+            } else {
+                None
+            };
+            self.lines[victim] = Line {
+                tag,
+                valid: true,
+                dirty: is_write,
+                lru: self.tick,
+            };
+            CacheOutcome::Miss { evicted }
+        }
+
+        pub fn contains(&self, block: BlockAddr) -> bool {
+            let (base, tag) = self.set_range(block);
+            self.lines[base..base + self.config.ways]
+                .iter()
+                .any(|l| l.valid && l.tag == tag)
+        }
+
+        pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
+            let (base, tag) = self.set_range(block);
+            for line in &mut self.lines[base..base + self.config.ways] {
+                if line.valid && line.tag == tag {
+                    line.valid = false;
+                    return Some(line.dirty);
+                }
+            }
+            None
+        }
+
+        pub fn reset(&mut self) {
+            self.lines.fill(INVALID);
+            self.tick = 0;
+            self.stats = CacheStats::default();
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference_equivalence {
+    use super::reference::RefCache;
+    use super::*;
+    use starnuma_types::SimRng;
+
+    /// Random streams of accesses with invalidations, reset and
+    /// (LRU-neutral) lookups interleaved produce the same hit/miss, victim,
+    /// dirty bit and statistics as the reference model, step by step.
+    #[test]
+    fn packed_cache_matches_reference_model() {
+        let mut rng = SimRng::seed_from_u64(0x11c3);
+        for (sets, ways) in [(1, 1), (1, 4), (2, 2), (4, 3), (8, 16), (64, 16)] {
+            let config = CacheConfig::tiny(sets, ways);
+            for _case in 0..16 {
+                let mut packed = SetAssocCache::new(config);
+                let mut reference = RefCache::new(config);
+                // A key range a few times the capacity forces evictions.
+                let keys = (config.capacity_blocks() as u64 * 3).max(4);
+                for step in 0..2_000 {
+                    let block = BlockAddr::new(rng.gen_range(0..keys));
+                    match rng.gen_range(0u32..100) {
+                        0 => {
+                            packed.reset();
+                            reference.reset();
+                        }
+                        1..=12 => assert_eq!(
+                            packed.invalidate(block),
+                            reference.invalidate(block),
+                            "invalidate {block:?} at step {step}"
+                        ),
+                        13..=20 => assert_eq!(packed.contains(block), reference.contains(block)),
+                        _ => {
+                            let write = rng.gen_bool(0.4);
+                            assert_eq!(
+                                packed.access(block, write),
+                                reference.access(block, write),
+                                "access {block:?} at step {step} ({sets}×{ways})"
+                            );
+                        }
+                    }
+                    assert_eq!(packed.stats(), reference.stats);
+                }
+            }
         }
     }
 }

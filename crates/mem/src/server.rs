@@ -59,6 +59,8 @@ impl Observe for ServerStats {
 #[derive(Clone, Debug)]
 pub struct FifoServer {
     bandwidth: GbPerSec,
+    /// `bandwidth.bytes_per_cycle()`, computed once.
+    bytes_per_cycle: f64,
     busy_until: Cycles,
     stats: ServerStats,
 }
@@ -68,6 +70,7 @@ impl FifoServer {
     pub fn new(bandwidth: GbPerSec) -> Self {
         FifoServer {
             bandwidth,
+            bytes_per_cycle: bandwidth.bytes_per_cycle(),
             busy_until: Cycles::ZERO,
             stats: ServerStats::default(),
         }
@@ -88,7 +91,7 @@ impl FifoServer {
     pub fn enqueue(&mut self, now: Cycles, bytes: u64) -> Cycles {
         let start = self.busy_until.max(now);
         let wait = start - now;
-        let occupancy = self.bandwidth.service_cycles(bytes);
+        let occupancy = Cycles::for_bytes(bytes, self.bytes_per_cycle);
         self.busy_until = start + occupancy;
         self.stats.transfers += 1;
         self.stats.bytes += bytes;

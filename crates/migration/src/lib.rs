@@ -44,7 +44,7 @@ pub use oracle::{
     static_oracle_placement, static_oracle_placement_with_sharers, OracleDynamicPolicy,
     PageAccessCounts,
 };
-pub use page_map::PageMap;
+pub use page_map::{FirstTouch, PageMap};
 pub use policy::{MigrationPlan, PageMove, PolicyConfig, ThresholdPolicy};
 pub use replication::{ReplicaMap, ReplicationConfig, ReplicationStats};
 pub use tracker::{MetadataRegion, TrackerEntry};

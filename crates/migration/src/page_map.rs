@@ -18,6 +18,77 @@ pub struct PageMap {
     pool_capacity_pages: u64,
 }
 
+/// [`PageMap::first_touch`] over a sequence of traces, fed one at a time so
+/// a whole run's accesses never have to be held at once.
+///
+/// Each core's stream in a fed trace follows that core's last access in the
+/// traces before it: its icounts are offset past that access, so a later
+/// trace cannot steal first touch from an earlier one. Feeding `t0, t1, …`
+/// places pages exactly as `first_touch` on their per-core concatenation
+/// with those offsets applied.
+#[derive(Clone, Debug)]
+pub struct FirstTouch {
+    /// Per page: the earliest `(icount, core)` seen.
+    first: Vec<Option<(u64, u32)>>,
+    /// Per core stream: the icount offset of its next trace.
+    offsets: Vec<u64>,
+}
+
+impl FirstTouch {
+    /// An empty placement over `footprint_pages` pages.
+    pub fn new(footprint_pages: u64) -> Self {
+        FirstTouch {
+            first: vec![None; footprint_pages as usize],
+            offsets: Vec::new(),
+        }
+    }
+
+    /// Records `trace`'s accesses after those of every trace fed so far.
+    pub fn feed(&mut self, trace: &PhaseTrace) {
+        if self.offsets.len() < trace.per_core.len() {
+            self.offsets.resize(trace.per_core.len(), 0);
+        }
+        for (stream, offset) in trace.per_core.iter().zip(&mut self.offsets) {
+            for a in stream {
+                let p = a.addr.page().pfn() as usize;
+                let key = (a.icount + *offset, a.core.index());
+                match self.first[p] {
+                    Some(existing) if existing <= key => {}
+                    _ => self.first[p] = Some(key),
+                }
+            }
+            if let Some(last) = stream.last() {
+                *offset += last.icount + 1;
+            }
+        }
+    }
+
+    /// The placement: touched pages on their first toucher's socket,
+    /// untouched pages round-robin.
+    pub fn into_map(
+        self,
+        pool_capacity_pages: u64,
+        cores_per_socket: usize,
+        num_sockets: usize,
+    ) -> PageMap {
+        let mut rr = 0u16;
+        PageMap::from_fn(
+            self.first.len() as u64,
+            pool_capacity_pages,
+            |page| match self.first[page.pfn() as usize] {
+                Some((_, core)) => {
+                    Location::Socket(starnuma_types::CoreId::new(core).socket(cores_per_socket))
+                }
+                None => {
+                    let s = SocketId::new(rr % num_sockets as u16);
+                    rr += 1;
+                    Location::Socket(s)
+                }
+            },
+        )
+    }
+}
+
 impl PageMap {
     /// Creates a map with every page placed by `placer`.
     pub fn from_fn(
@@ -46,28 +117,9 @@ impl PageMap {
         cores_per_socket: usize,
         num_sockets: usize,
     ) -> Self {
-        let mut first: Vec<Option<(u64, u32)>> = vec![None; footprint_pages as usize];
-        for a in trace.iter() {
-            let p = a.addr.page().pfn() as usize;
-            let key = (a.icount, a.core.index());
-            match first[p] {
-                Some(existing) if existing <= key => {}
-                _ => first[p] = Some(key),
-            }
-        }
-        let mut rr = 0u16;
-        Self::from_fn(footprint_pages, pool_capacity_pages, |page| {
-            match first[page.pfn() as usize] {
-                Some((_, core)) => {
-                    Location::Socket(starnuma_types::CoreId::new(core).socket(cores_per_socket))
-                }
-                None => {
-                    let s = SocketId::new(rr % num_sockets as u16);
-                    rr += 1;
-                    Location::Socket(s)
-                }
-            }
-        })
+        let mut touch = FirstTouch::new(footprint_pages);
+        touch.feed(trace);
+        touch.into_map(pool_capacity_pages, cores_per_socket, num_sockets)
     }
 
     /// Number of pages in the footprint.
@@ -238,6 +290,43 @@ mod tests {
             assert_eq!(m.location(a.addr.page()), Location::Socket(owner));
         }
         assert_eq!(m.pool_pages(), 0, "first touch never uses the pool");
+    }
+
+    /// Feeding phases one at a time places pages exactly as `first_touch`
+    /// over the phases concatenated per core, each phase's icounts offset
+    /// past that core's last access.
+    #[test]
+    fn fed_phases_match_first_touch_of_concatenation() {
+        for (workload, seed) in [
+            (Workload::Masstree, 5),
+            (Workload::Bfs, 6),
+            (Workload::Poa, 7),
+        ] {
+            let mut g = TraceGenerator::new(&workload.profile(), 16, 4, seed);
+            let fp = g.profile().footprint_pages;
+            let mut touch = FirstTouch::new(fp);
+            let mut combined = PhaseTrace::default();
+            for _ in 0..4 {
+                let t = g.generate_phase(2_000);
+                touch.feed(&t);
+                if combined.per_core.is_empty() {
+                    combined = t;
+                } else {
+                    for (dst, src) in combined.per_core.iter_mut().zip(t.per_core) {
+                        let base = dst.last().map_or(0, |a| a.icount + 1);
+                        dst.extend(src.into_iter().map(|mut a| {
+                            a.icount += base;
+                            a
+                        }));
+                    }
+                }
+            }
+            let fed = touch.into_map(1000, 4, 16);
+            let whole = PageMap::first_touch(fp, 1000, &combined, 4, 16);
+            for p in 0..fp {
+                assert_eq!(fed.location(PageId::new(p)), whole.location(PageId::new(p)));
+            }
+        }
     }
 
     #[test]

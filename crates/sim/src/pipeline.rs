@@ -4,8 +4,8 @@
 
 use starnuma_cache::{Tlb, TlbConfig};
 use starnuma_migration::{
-    static_oracle_placement_with_sharers, MetadataRegion, MigrationCosts, OracleDynamicPolicy,
-    PageAccessCounts, PageMap, PolicyConfig, ReplicaMap, ThresholdPolicy,
+    static_oracle_placement_with_sharers, FirstTouch, MetadataRegion, MigrationCosts,
+    OracleDynamicPolicy, PageAccessCounts, PolicyConfig, ReplicaMap, ThresholdPolicy,
 };
 use starnuma_obs::{EventCategory, EventLevel, FieldValue, ObsReport, ObsSink, PhaseCheck};
 use starnuma_prof::{ProfScope, Site};
@@ -169,29 +169,23 @@ impl Runner {
             _ => {
                 // True first-touch semantics: a page lives where its first
                 // toucher over the *whole run* (warm-up + all phases) sits —
-                // a page is not allocated until someone touches it.
+                // a page is not allocated until someone touches it. Later
+                // phases cannot steal first touch from earlier ones (each
+                // trace's icounts follow the previous ones), so the traces
+                // are fed one at a time rather than held together.
                 let mut scout = gen.clone();
-                let mut combined = warmup_trace.clone().unwrap_or_default();
+                let mut touch = FirstTouch::new(fp);
+                if let Some(warmup) = &warmup_trace {
+                    touch.feed(warmup);
+                }
                 for _ in 0..self.config.phases {
                     let t = {
                         let _prof = ProfScope::enter(Site::TraceGen);
                         scout.generate_phase(self.config.instructions_per_phase)
                     };
-                    if combined.per_core.is_empty() {
-                        combined = t;
-                    } else {
-                        // Later phases cannot steal first-touch from earlier
-                        // ones: offset icounts by a full phase ordering key.
-                        for (dst, src) in combined.per_core.iter_mut().zip(t.per_core) {
-                            let base = dst.last().map_or(0, |a| a.icount + 1);
-                            dst.extend(src.into_iter().map(|mut a| {
-                                a.icount += base;
-                                a
-                            }));
-                        }
-                    }
+                    touch.feed(&t);
                 }
-                PageMap::first_touch(fp, pool_cap, &combined, cps, n_sockets)
+                touch.into_map(pool_cap, cps, n_sockets)
             }
         };
         drop(placement_prof);

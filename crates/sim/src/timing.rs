@@ -496,91 +496,85 @@ impl TimingSim {
         };
         // Invalidations: traffic + back-invalidation of remote LLC copies
         // (off the critical path, as writes complete on ownership grant).
-        if !coh.invalidations.is_empty() {
+        if coh.invalidations != 0 {
             let _prof = ProfScope::enter(Site::Coherence);
-            for inv in &coh.invalidations {
+            for inv in coh.invalidated_sockets() {
                 self.llcs[inv.index() as usize].invalidate(block);
-                for link in self.net.leg(home, Location::Socket(*inv)) {
+                for link in self.net.leg(home, Location::Socket(inv)) {
                     self.links[link.index()].enqueue(now, REQ_BYTES);
                 }
             }
         }
-        let lat = self.net.latency().clone();
+        let r = Location::Socket(socket);
         match coh.transfer {
             TransferKind::FromMemory => {
                 let class = self.net.classify(socket, home);
-                let unloaded = lat.demand_access(socket, home);
-                let src = Location::Socket(socket);
-                let req_prop = lat.one_way(src, home).to_cycles().raw();
+                let unloaded = self.net.latency().demand_access(socket, home);
                 // All stages are charged at the issue time: a first-order
                 // queuing approximation that keeps every server's backlog
                 // bounded by its offered load (enqueueing at inflated
                 // downstream arrival times would let queuing delays compound
                 // across links into a runaway feedback).
-                let _ = req_prop;
-                let mut wait = 0u64;
-                {
-                    let _prof = ProfScope::enter(Site::Coherence);
-                    for link in self.net.leg(src, home) {
-                        wait += self.links[link.index()].enqueue(now, REQ_BYTES).raw();
-                    }
-                }
+                let mut wait = self.charge_legs(now, &[(r, home, REQ_BYTES)]);
                 {
                     let _prof = ProfScope::enter(Site::Dram);
                     wait += self.memory_contention(now, home, block);
                 }
-                {
-                    let _prof = ProfScope::enter(Site::Coherence);
-                    for link in self.net.leg(home, src) {
-                        wait += self.links[link.index()].enqueue(now, DATA_BYTES).raw();
-                    }
-                }
+                wait += self.charge_legs(now, &[(home, r, DATA_BYTES)]);
                 let measured = unloaded.to_cycles().raw() + wait;
                 (false, class, unloaded.raw(), measured)
             }
             TransferKind::CacheToCache { owner } => {
-                let r = Location::Socket(socket);
                 let o = Location::Socket(owner);
-                let (class, legs, unloaded_ns) = match home {
+                let lat = self.net.latency();
+                let mem_base = self.net.params().mem_base;
+                // No DRAM access: the data comes from the owner's cache and
+                // the home's coherence directory is SRAM (its 20 ns lookup is
+                // part of the unloaded latency, Fig. 3 / §V-A accounting).
+                let (class, unloaded_ns, wait) = match home {
                     Location::Pool => {
                         // 4-hop via the pool: R→H, H→O, O→H, H→R.
-                        let legs = vec![
+                        let unloaded = lat.four_hop_pool_transfer() + mem_base;
+                        let legs = [
                             (r, home, REQ_BYTES),
                             (home, o, REQ_BYTES),
                             (o, home, DATA_BYTES),
                             (home, r, DATA_BYTES),
                         ];
-                        let unloaded = lat.four_hop_pool_transfer() + self.net.params().mem_base;
-                        (AccessClass::BtPool, legs, unloaded)
+                        (AccessClass::BtPool, unloaded, self.charge_legs(now, &legs))
                     }
                     Location::Socket(h) => {
                         // 3-hop: R→H, H→O (forward), O→R (data).
-                        let legs = vec![
+                        let unloaded = lat.three_hop_transfer(socket, h, owner) + mem_base;
+                        let legs = [
                             (r, home, REQ_BYTES),
                             (home, o, REQ_BYTES),
                             (o, r, DATA_BYTES),
                         ];
-                        let unloaded =
-                            lat.three_hop_transfer(socket, h, owner) + self.net.params().mem_base;
-                        (AccessClass::BtSocket, legs, unloaded)
+                        (
+                            AccessClass::BtSocket,
+                            unloaded,
+                            self.charge_legs(now, &legs),
+                        )
                     }
                 };
-                // No DRAM access: the data comes from the owner's cache and
-                // the home's coherence directory is SRAM (its 20 ns lookup is
-                // part of the unloaded latency, Fig. 3 / §V-A accounting).
-                let mut wait = 0u64;
-                {
-                    let _prof = ProfScope::enter(Site::Coherence);
-                    for (from, to, bytes) in legs {
-                        for link in self.net.leg(from, to) {
-                            wait += self.links[link.index()].enqueue(now, bytes).raw();
-                        }
-                    }
-                }
                 let measured = unloaded_ns.to_cycles().raw() + wait;
                 (false, class, unloaded_ns.raw(), measured)
             }
         }
+    }
+
+    /// Enqueues one message per `(from, to, bytes)` leg on every link of its
+    /// route at `now`; returns the summed queuing delay in cycles.
+    fn charge_legs(&mut self, now: Cycles, legs: &[(Location, Location, u64)]) -> u64 {
+        let _prof = ProfScope::enter(Site::Coherence);
+        let mut wait = 0u64;
+        for &(from, to, bytes) in legs {
+            for link in self.net.leg(from, to) {
+                wait += self.links[link.index()].enqueue(now, bytes).raw();
+            }
+        }
+        wait
     }
 
     /// Charges one block access to the home node's memory; returns the

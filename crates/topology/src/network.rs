@@ -10,6 +10,13 @@
 //! * per ordered chassis pair: the aggregated NUMALinks (two FLEX ASICs per
 //!   chassis give four NUMALinks per chassis pair);
 //! * per socket (StarNUMA only): a CXL uplink and downlink to the pool.
+//!
+//! A one-way message follows these hop rules: none within a socket (or
+//! within the pool); one direct UPI link within a chassis; UPI uplink,
+//! NUMALink, UPI downlink across chassis; one CXL link between a socket and
+//! the pool. Every route is resolved once, at construction, into a dense
+//! `(sockets + 1)²` table indexed by endpoint (the pool is endpoint
+//! `num_sockets`), so [`Network::leg`] is a lookup that allocates nothing.
 
 use core::fmt;
 use std::collections::BTreeMap;
@@ -143,13 +150,20 @@ pub struct Network {
     latency: LatencyModel,
     kinds: Vec<LinkKind>,
     bandwidths: Vec<f64>,
-    upi_direct: BTreeMap<(SocketId, SocketId), LinkId>,
-    upi_uplink: Vec<LinkId>,
-    upi_downlink: Vec<LinkId>,
-    numalink: BTreeMap<(ChassisId, ChassisId), LinkId>,
-    cxl_up: Vec<LinkId>,
-    cxl_down: Vec<LinkId>,
+    num_sockets: usize,
+    /// Row-major `(num_sockets + 1)²` leg table; see [`Network::leg`].
+    legs: Vec<Leg>,
 }
+
+/// One precomputed one-way route: up to three links, or [`NO_POOL`].
+#[derive(Clone, Copy, Debug)]
+struct Leg {
+    links: [LinkId; 3],
+    len: u8,
+}
+
+/// `Leg::len` of a socket↔pool leg on a configuration without a pool.
+const NO_POOL: u8 = u8::MAX;
 
 impl Network {
     /// Builds the link database for the given parameters.
@@ -182,53 +196,92 @@ impl Network {
             latency: LatencyModel::new(params.clone()),
             kinds: Vec::new(),
             bandwidths: Vec::new(),
-            upi_direct: BTreeMap::new(),
-            upi_uplink: Vec::new(),
-            upi_downlink: Vec::new(),
-            numalink: BTreeMap::new(),
-            cxl_up: Vec::new(),
-            cxl_down: Vec::new(),
+            num_sockets: params.num_sockets,
+            legs: Vec::new(),
         };
         let n = params.num_sockets;
         // Direct intra-chassis UPI links (each direction its own server).
+        let mut upi_direct = BTreeMap::new();
         for s in SocketId::all(n) {
             for t in SocketId::all(n) {
                 if s != t && s.same_chassis(t) {
                     let id = net.push(LinkKind::Upi, params.upi_bw.raw());
-                    net.upi_direct.insert((s, t), id);
+                    upi_direct.insert((s, t), id);
                 }
             }
         }
         // Socket ↔ FLEX ASIC UPI connections.
-        for _s in SocketId::all(n) {
-            let up = net.push(LinkKind::Upi, params.upi_bw.raw());
-            net.upi_uplink.push(up);
-        }
-        for _s in SocketId::all(n) {
-            let down = net.push(LinkKind::Upi, params.upi_bw.raw());
-            net.upi_downlink.push(down);
-        }
+        let upi_uplink: Vec<LinkId> = SocketId::all(n)
+            .map(|_| net.push(LinkKind::Upi, params.upi_bw.raw()))
+            .collect();
+        let upi_downlink: Vec<LinkId> = SocketId::all(n)
+            .map(|_| net.push(LinkKind::Upi, params.upi_bw.raw()))
+            .collect();
         // Aggregated NUMALinks per ordered chassis pair.
         let numalink_bw = params.numalink_bw.raw() * params.numalinks_per_chassis_pair as f64;
         let chassis = params.num_chassis() as u8;
+        let mut numalink = BTreeMap::new();
         for c in 0..chassis {
             for d in 0..chassis {
                 if c != d {
                     let id = net.push(LinkKind::NumaLink, numalink_bw);
-                    net.numalink
-                        .insert((ChassisId::new(c), ChassisId::new(d)), id);
+                    numalink.insert((ChassisId::new(c), ChassisId::new(d)), id);
                 }
             }
         }
         // CXL star links (StarNUMA only).
-        if params.has_pool {
-            for _s in SocketId::all(n) {
-                let id = net.push(LinkKind::Cxl, params.cxl_bw.raw());
-                net.cxl_up.push(id);
-            }
-            for _s in SocketId::all(n) {
-                let id = net.push(LinkKind::Cxl, params.cxl_bw.raw());
-                net.cxl_down.push(id);
+        let (cxl_up, cxl_down): (Vec<LinkId>, Vec<LinkId>) = if params.has_pool {
+            let up = SocketId::all(n)
+                .map(|_| net.push(LinkKind::Cxl, params.cxl_bw.raw()))
+                .collect();
+            let down = SocketId::all(n)
+                .map(|_| net.push(LinkKind::Cxl, params.cxl_bw.raw()))
+                .collect();
+            (up, down)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        // Resolve every (src, dst) leg once; the pool is endpoint `n`.
+        let endpoints: Vec<Location> = SocketId::all(n)
+            .map(Location::Socket)
+            .chain([Location::Pool])
+            .collect();
+        let leg = |links: &[LinkId]| {
+            let mut leg = Leg {
+                links: [LinkId(0); 3],
+                len: links.len() as u8,
+            };
+            leg.links[..links.len()].copy_from_slice(links);
+            leg
+        };
+        let no_pool = Leg {
+            links: [LinkId(0); 3],
+            len: NO_POOL,
+        };
+        for &src in &endpoints {
+            for &dst in &endpoints {
+                net.legs.push(match (src, dst) {
+                    (Location::Pool, Location::Pool) => leg(&[]),
+                    (Location::Socket(s), Location::Pool) => cxl_up
+                        .get(s.index() as usize)
+                        .map_or(no_pool, |&up| leg(&[up])),
+                    (Location::Pool, Location::Socket(t)) => cxl_down
+                        .get(t.index() as usize)
+                        .map_or(no_pool, |&down| leg(&[down])),
+                    (Location::Socket(s), Location::Socket(t)) => {
+                        if s == t {
+                            leg(&[])
+                        } else if s.same_chassis(t) {
+                            leg(&[upi_direct[&(s, t)]])
+                        } else {
+                            leg(&[
+                                upi_uplink[s.index() as usize],
+                                numalink[&(s.chassis(), t.chassis())],
+                                upi_downlink[t.index() as usize],
+                            ])
+                        }
+                    }
+                });
             }
         }
         Ok(net)
@@ -276,37 +329,23 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if a pool endpoint is used on a configuration without a pool.
-    pub fn leg(&self, src: Location, dst: Location) -> Vec<LinkId> {
-        match (src, dst) {
-            (Location::Pool, Location::Pool) => Vec::new(),
-            (Location::Socket(s), Location::Pool) => {
-                assert!(
-                    !self.cxl_up.is_empty(),
-                    "no memory pool in this configuration"
-                );
-                vec![self.cxl_up[s.index() as usize]]
+    /// Panics if a pool endpoint is used on a configuration without a pool,
+    /// or a socket is outside the configured socket count.
+    pub fn leg(&self, src: Location, dst: Location) -> &[LinkId] {
+        let leg = &self.legs[self.endpoint(src) * (self.num_sockets + 1) + self.endpoint(dst)];
+        assert!(leg.len != NO_POOL, "no memory pool in this configuration");
+        &leg.links[..leg.len as usize]
+    }
+
+    /// Dense leg-table index of an endpoint; the pool is `num_sockets`.
+    fn endpoint(&self, loc: Location) -> usize {
+        match loc {
+            Location::Socket(s) => {
+                let i = s.index() as usize;
+                assert!(i < self.num_sockets, "socket {s:?} out of range");
+                i
             }
-            (Location::Pool, Location::Socket(s)) => {
-                assert!(
-                    !self.cxl_down.is_empty(),
-                    "no memory pool in this configuration"
-                );
-                vec![self.cxl_down[s.index() as usize]]
-            }
-            (Location::Socket(s), Location::Socket(t)) => {
-                if s == t {
-                    Vec::new()
-                } else if s.same_chassis(t) {
-                    vec![self.upi_direct[&(s, t)]]
-                } else {
-                    vec![
-                        self.upi_uplink[s.index() as usize],
-                        self.numalink[&(s.chassis(), t.chassis())],
-                        self.upi_downlink[t.index() as usize],
-                    ]
-                }
-            }
+            Location::Pool => self.num_sockets,
         }
     }
 
@@ -331,8 +370,8 @@ impl Network {
     pub fn route(&self, requester: SocketId, target: Location) -> Route {
         let src = Location::Socket(requester);
         Route {
-            request: self.leg(src, target),
-            response: self.leg(target, src),
+            request: self.leg(src, target).to_vec(),
+            response: self.leg(target, src).to_vec(),
             unloaded_total: self.latency.demand_access(requester, target),
             class: self.classify(requester, target),
         }
@@ -474,6 +513,87 @@ mod tests {
         assert_eq!(r.unloaded_total.raw(), 360.0);
         // 8 chassis: 8×12 intra + 2×32 asic + 8×7 numalink + 2×32 cxl.
         assert_eq!(net.link_count(), 96 + 64 + 56 + 64);
+    }
+
+    /// Checks every `(src, dst)` entry of the dense leg table against the
+    /// hop rules of the module doc: each UPI uplink/downlink and CXL link
+    /// belongs to exactly one socket, each direct UPI link to one ordered
+    /// socket pair, and each NUMALink to one ordered chassis pair.
+    fn assert_hop_rules(params: &SystemParams) {
+        let net = Network::new(params);
+        let n = params.num_sockets;
+        // Link → (role, a, b): sockets `a`/`b`, chassis for NUMALinks, and
+        // `n` for the pool.
+        let mut owners: BTreeMap<LinkId, (&str, usize, usize)> = BTreeMap::new();
+        let mut claim = |id: LinkId, role: &'static str, a: usize, b: usize| {
+            let prev = owners.insert(id, (role, a, b));
+            assert!(
+                prev.is_none() || prev == Some((role, a, b)),
+                "link {id:?} is both {prev:?} and {:?}",
+                (role, a, b)
+            );
+        };
+        let sockets: Vec<SocketId> = SocketId::all(n).collect();
+        for &s in &sockets {
+            let (src, si) = (Location::Socket(s), s.index() as usize);
+            for &t in &sockets {
+                let (dst, ti) = (Location::Socket(t), t.index() as usize);
+                let leg = net.leg(src, dst);
+                let kinds: Vec<LinkKind> = leg.iter().map(|&l| net.link_kind(l)).collect();
+                if s == t {
+                    assert!(leg.is_empty(), "{s:?}→{t:?}");
+                } else if s.same_chassis(t) {
+                    assert_eq!(kinds, [LinkKind::Upi], "{s:?}→{t:?}");
+                    claim(leg[0], "direct", si, ti);
+                } else {
+                    assert_eq!(
+                        kinds,
+                        [LinkKind::Upi, LinkKind::NumaLink, LinkKind::Upi],
+                        "{s:?}→{t:?}"
+                    );
+                    let (cs, ct) = (s.chassis().index(), t.chassis().index());
+                    claim(leg[0], "uplink", si, si);
+                    claim(leg[1], "numalink", cs.into(), ct.into());
+                    claim(leg[2], "downlink", ti, ti);
+                }
+            }
+            if params.has_pool {
+                let up = net.leg(src, Location::Pool);
+                let down = net.leg(Location::Pool, src);
+                assert_eq!(up.len(), 1);
+                assert_eq!(down.len(), 1);
+                assert_eq!(net.link_kind(up[0]), LinkKind::Cxl);
+                assert_eq!(net.link_kind(down[0]), LinkKind::Cxl);
+                claim(up[0], "cxl_up", si, n);
+                claim(down[0], "cxl_down", n, si);
+            } else {
+                for (a, b) in [(src, Location::Pool), (Location::Pool, src)] {
+                    let panicked = std::panic::catch_unwind(|| net.leg(a, b).len()).is_err();
+                    assert!(panicked, "{a:?}→{b:?} must reject a missing pool");
+                }
+            }
+        }
+        assert!(net.leg(Location::Pool, Location::Pool).is_empty());
+        // Every link of the database is reached by some leg.
+        assert_eq!(owners.len(), net.link_count());
+    }
+
+    #[test]
+    fn dense_leg_table_follows_hop_rules() {
+        for params in [
+            SystemParams::scaled_baseline(),
+            SystemParams::scaled_starnuma(),
+        ] {
+            assert_hop_rules(&params);
+            assert_hop_rules(&params.with_num_sockets(32).unwrap());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn leg_rejects_sockets_beyond_the_configuration() {
+        let net = starnuma_net();
+        let _ = net.leg(Location::Socket(SocketId::new(16)), Location::Pool);
     }
 
     #[test]

@@ -27,6 +27,12 @@ impl Cycles {
     /// Zero cycles.
     pub const ZERO: Cycles = Cycles(0);
 
+    /// Cycles needed to move `bytes` at `bytes_per_cycle` (see
+    /// [`GbPerSec::bytes_per_cycle`]), rounded up.
+    pub fn for_bytes(bytes: u64, bytes_per_cycle: f64) -> Self {
+        Cycles((bytes as f64 / bytes_per_cycle).ceil() as u64)
+    }
+
     /// Creates a duration from a raw cycle count.
     pub const fn new(cycles: u64) -> Self {
         Cycles(cycles)
@@ -299,8 +305,12 @@ impl GbPerSec {
     ///
     /// At 2.4 GHz, one GB/s moves `1/2.4` bytes per cycle.
     pub fn service_cycles(self, bytes: u64) -> Cycles {
-        let bytes_per_cycle = self.0 / CORE_GHZ; // GB/s ÷ Gcycle/s = bytes/cycle
-        Cycles((bytes as f64 / bytes_per_cycle).ceil() as u64)
+        Cycles::for_bytes(bytes, self.bytes_per_cycle())
+    }
+
+    /// Bytes this bandwidth moves per core cycle.
+    pub fn bytes_per_cycle(self) -> f64 {
+        self.0 / CORE_GHZ // GB/s ÷ Gcycle/s = bytes/cycle
     }
 }
 

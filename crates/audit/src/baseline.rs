@@ -11,9 +11,8 @@
 use std::fs;
 use std::path::Path;
 
+use starnuma_types::json::{obj, Value};
 use starnuma_types::{Diagnostic, StarNumaError};
-
-use crate::json::{obj, JsonValue};
 
 /// Baseline file schema version.
 pub const BASELINE_SCHEMA_VERSION: f64 = 1.0;
@@ -31,8 +30,8 @@ impl Baseline {
     /// file should fail loudly, not silently suppress nothing).
     pub fn load(path: &Path) -> Option<Baseline> {
         let text = fs::read_to_string(path).ok()?;
-        let doc = JsonValue::parse(&text)?;
-        if doc.get("schema_version").and_then(JsonValue::as_num) != Some(BASELINE_SCHEMA_VERSION) {
+        let doc = Value::parse(&text)?;
+        if doc.get("schema_version").and_then(Value::as_num) != Some(BASELINE_SCHEMA_VERSION) {
             return None;
         }
         let mut entries = Vec::new();
@@ -102,11 +101,7 @@ impl Baseline {
             .map(|(c, l)| {
                 format!(
                     "    {}",
-                    obj(vec![
-                        ("code", JsonValue::Str(c.clone())),
-                        ("location", JsonValue::Str(l.clone())),
-                    ])
-                    .render()
+                    obj([("code", c.as_str().into()), ("location", l.as_str().into())]).render()
                 )
             })
             .collect();
@@ -178,6 +173,18 @@ mod tests {
         let path = dir.join("empty.json");
         std::fs::write(&path, b.render()).unwrap();
         assert_eq!(Baseline::load(&path), Some(b));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Regression: a baseline of 200 000 `[` once overflowed the stack in
+    /// an unbounded recursive parser; it must read as `None`.
+    #[test]
+    fn deeply_nested_baseline_is_none() {
+        let dir = std::env::temp_dir().join("starnuma-audit-baseline-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep.json");
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        assert_eq!(Baseline::load(&path), None);
         std::fs::remove_file(&path).ok();
     }
 }

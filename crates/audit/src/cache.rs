@@ -13,10 +13,10 @@
 use std::fs;
 use std::path::Path;
 
+use starnuma_types::json::{obj, Value};
 use starnuma_types::Diagnostic;
 
 use crate::items::FileFacts;
-use crate::json::{obj, JsonValue};
 
 /// Cache schema version; bump on any layout or lint-semantics change so
 /// stale caches self-invalidate.
@@ -56,18 +56,18 @@ impl Cache {
         let Ok(text) = fs::read_to_string(path) else {
             return Cache::default();
         };
-        let Some(doc) = JsonValue::parse(&text) else {
+        let Some(doc) = Value::parse(&text) else {
             return Cache::default();
         };
-        if doc.get("schema_version").and_then(JsonValue::as_num) != Some(CACHE_SCHEMA_VERSION) {
+        if doc.get("schema_version").and_then(Value::as_num) != Some(CACHE_SCHEMA_VERSION) {
             return Cache::default();
         }
-        let Some(JsonValue::Obj(files)) = doc.get("files") else {
+        let Some(Value::Obj(files)) = doc.get("files") else {
             return Cache::default();
         };
         let mut cache = Cache::default();
         for (file, entry) in files {
-            let Some(digest) = entry.get("digest").and_then(JsonValue::as_str) else {
+            let Some(digest) = entry.get("digest").and_then(Value::as_str) else {
                 continue;
             };
             let Some(facts) = entry.get("facts").and_then(FileFacts::from_json) else {
@@ -75,7 +75,7 @@ impl Cache {
             };
             let findings = entry
                 .get("findings")
-                .and_then(JsonValue::as_arr)
+                .and_then(Value::as_arr)
                 .map(|a| a.iter().filter_map(diag_from_json).collect())
                 .unwrap_or_default();
             cache.entries.push((
@@ -107,26 +107,26 @@ impl Cache {
     /// Renders the cache as its on-disk JSON (entries sorted by path).
     pub fn render(&mut self) -> String {
         self.entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let files: Vec<(String, JsonValue)> = self
+        let files: Vec<(String, Value)> = self
             .entries
             .iter()
             .map(|(f, e)| {
                 (
                     f.clone(),
-                    obj(vec![
-                        ("digest", JsonValue::Str(e.digest.clone())),
+                    obj([
+                        ("digest", e.digest.clone().into()),
                         (
                             "findings",
-                            JsonValue::Arr(e.findings.iter().map(diag_to_json).collect()),
+                            Value::Arr(e.findings.iter().map(Diagnostic::to_value).collect()),
                         ),
                         ("facts", e.facts.to_json()),
                     ]),
                 )
             })
             .collect();
-        obj(vec![
-            ("schema_version", JsonValue::Num(CACHE_SCHEMA_VERSION)),
-            ("files", JsonValue::Obj(files)),
+        obj([
+            ("schema_version", Value::Num(CACHE_SCHEMA_VERSION)),
+            ("files", Value::Obj(files)),
         ])
         .render()
     }
@@ -152,13 +152,7 @@ pub fn static_code(code: &str) -> Option<&'static str> {
     CODES.iter().find(|c| **c == code).copied()
 }
 
-fn diag_to_json(d: &Diagnostic) -> JsonValue {
-    // Diagnostic::to_json is already the canonical rendering; reparse it
-    // rather than duplicating the field layout here.
-    JsonValue::parse(&d.to_json()).unwrap_or(JsonValue::Null)
-}
-
-fn diag_from_json(v: &JsonValue) -> Option<Diagnostic> {
+fn diag_from_json(v: &Value) -> Option<Diagnostic> {
     let code = static_code(v.get("code")?.as_str()?)?;
     let location = v.get("location")?.as_str()?.to_string();
     let message = v.get("message")?.as_str()?.to_string();
@@ -223,6 +217,18 @@ mod tests {
         assert!(Cache::load(Path::new("/nonexistent/cache.json"))
             .get("x", "y")
             .is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Regression: a cache of 200 000 `[` once overflowed the stack in
+    /// an unbounded recursive parser; it must read as empty.
+    #[test]
+    fn deeply_nested_cache_reads_as_empty() {
+        let dir = std::env::temp_dir().join("starnuma-audit-cache-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep.json");
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        assert!(Cache::load(&path).entries.is_empty());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -4,9 +4,9 @@
 //! records the facts the dataflow lints need: `use` edges, fn items with
 //! their call sites and iteration sites, `DetMap`-typed bindings, float
 //! accumulators in loops, and the suppression markers. Facts are designed
-//! to be (de)serializable via [`crate::json`] so the incremental cache can
-//! skip re-lexing unchanged files while still running whole-workspace
-//! graph passes.
+//! to be (de)serializable via [`starnuma_types::json`] so the incremental
+//! cache can skip re-lexing unchanged files while still running
+//! whole-workspace graph passes.
 //!
 //! This is deliberately not a full parser. It tracks brace depth, gulps
 //! attributes / `use` statements / fn headers wholesale so their internal
@@ -14,7 +14,8 @@
 //! handful of shapes the lints care about. Unknown constructs fall through
 //! harmlessly.
 
-use crate::json::{obj, JsonValue};
+use starnuma_types::json::{obj, Value};
+
 use crate::lexer::{allow_lines, comment_lines_containing, Token, TokenKind};
 
 /// Iteration methods that expose a collection's internal order.
@@ -660,12 +661,12 @@ fn scan_body_ident(
 // Cache (de)serialization.
 // ---------------------------------------------------------------------
 
-fn arr_of_strings(items: &[String]) -> JsonValue {
-    JsonValue::Arr(items.iter().map(|s| JsonValue::Str(s.clone())).collect())
+fn arr_of_strings(items: &[String]) -> Value {
+    Value::Arr(items.iter().map(|s| s.clone().into()).collect())
 }
 
-fn strings_of_arr(v: Option<&JsonValue>) -> Vec<String> {
-    v.and_then(JsonValue::as_arr)
+fn strings_of_arr(v: Option<&Value>) -> Vec<String> {
+    v.and_then(Value::as_arr)
         .map(|a| {
             a.iter()
                 .filter_map(|x| x.as_str().map(str::to_string))
@@ -676,50 +677,42 @@ fn strings_of_arr(v: Option<&JsonValue>) -> Vec<String> {
 
 impl FileFacts {
     /// Serializes the facts for the incremental cache.
-    pub fn to_json(&self) -> JsonValue {
-        obj(vec![
-            ("path", JsonValue::Str(self.path.clone())),
-            ("crate", JsonValue::Str(self.crate_name.clone())),
-            ("root", JsonValue::Bool(self.is_crate_root)),
+    pub fn to_json(&self) -> Value {
+        obj([
+            ("path", self.path.clone().into()),
+            ("crate", self.crate_name.clone().into()),
+            ("root", Value::Bool(self.is_crate_root)),
             (
                 "uses",
-                JsonValue::Arr(
+                Value::Arr(
                     self.uses
                         .iter()
                         .map(|u| {
-                            obj(vec![
-                                ("line", JsonValue::Num(u.line as f64)),
-                                ("path", JsonValue::Str(u.path.clone())),
+                            obj([
+                                ("line", Value::Num(u.line as f64)),
+                                ("path", u.path.clone().into()),
                             ])
                         })
                         .collect(),
                 ),
             ),
             ("det", arr_of_strings(&self.det_idents)),
-            (
-                "fns",
-                JsonValue::Arr(self.fns.iter().map(fn_to_json).collect()),
-            ),
+            ("fns", Value::Arr(self.fns.iter().map(fn_to_json).collect())),
             (
                 "allows",
-                JsonValue::Arr(
+                Value::Arr(
                     self.allows
                         .iter()
-                        .map(|(l, c)| {
-                            JsonValue::Arr(vec![
-                                JsonValue::Num(*l as f64),
-                                JsonValue::Str(c.clone()),
-                            ])
-                        })
+                        .map(|(l, c)| Value::Arr(vec![Value::Num(*l as f64), c.clone().into()]))
                         .collect(),
                 ),
             ),
             (
                 "canon",
-                JsonValue::Arr(
+                Value::Arr(
                     self.canonical_lines
                         .iter()
-                        .map(|l| JsonValue::Num(*l as f64))
+                        .map(|l| Value::Num(*l as f64))
                         .collect(),
                 ),
             ),
@@ -728,11 +721,11 @@ impl FileFacts {
 
     /// Deserializes facts from the incremental cache; `None` on any shape
     /// mismatch (a stale cache must read as absent).
-    pub fn from_json(v: &JsonValue) -> Option<FileFacts> {
+    pub fn from_json(v: &Value) -> Option<FileFacts> {
         let mut facts = FileFacts {
             path: v.get("path")?.as_str()?.to_string(),
             crate_name: v.get("crate")?.as_str()?.to_string(),
-            is_crate_root: matches!(v.get("root"), Some(JsonValue::Bool(true))),
+            is_crate_root: matches!(v.get("root"), Some(Value::Bool(true))),
             det_idents: strings_of_arr(v.get("det")),
             ..FileFacts::default()
         };
@@ -759,23 +752,23 @@ impl FileFacts {
     }
 }
 
-fn fn_to_json(f: &FnFact) -> JsonValue {
-    obj(vec![
-        ("name", JsonValue::Str(f.name.clone())),
-        ("line", JsonValue::Num(f.line as f64)),
-        ("pub", JsonValue::Bool(f.is_pub)),
-        ("ret", JsonValue::Str(f.ret.clone())),
+fn fn_to_json(f: &FnFact) -> Value {
+    obj([
+        ("name", f.name.clone().into()),
+        ("line", Value::Num(f.line as f64)),
+        ("pub", Value::Bool(f.is_pub)),
+        ("ret", f.ret.clone().into()),
         ("calls", arr_of_strings(&f.calls)),
         (
             "iters",
-            JsonValue::Arr(
+            Value::Arr(
                 f.iterations
                     .iter()
                     .map(|it| {
-                        obj(vec![
-                            ("line", JsonValue::Num(it.line as f64)),
-                            ("recv", JsonValue::Str(it.recv.clone())),
-                            ("method", JsonValue::Str(it.method.clone())),
+                        obj([
+                            ("line", Value::Num(it.line as f64)),
+                            ("recv", it.recv.clone().into()),
+                            ("method", it.method.clone().into()),
                         ])
                     })
                     .collect(),
@@ -783,32 +776,32 @@ fn fn_to_json(f: &FnFact) -> JsonValue {
         ),
         (
             "accums",
-            JsonValue::Arr(
+            Value::Arr(
                 f.accums
                     .iter()
                     .map(|a| {
-                        obj(vec![
-                            ("name", JsonValue::Str(a.name.clone())),
-                            ("line", JsonValue::Num(a.line as f64)),
+                        obj([
+                            ("name", a.name.clone().into()),
+                            ("line", Value::Num(a.line as f64)),
                         ])
                     })
                     .collect(),
             ),
         ),
         ("det", arr_of_strings(&f.det_locals)),
-        ("test", JsonValue::Bool(f.in_test)),
+        ("test", Value::Bool(f.in_test)),
     ])
 }
 
-fn fn_from_json(v: &JsonValue) -> Option<FnFact> {
+fn fn_from_json(v: &Value) -> Option<FnFact> {
     let mut f = FnFact {
         name: v.get("name")?.as_str()?.to_string(),
         line: v.get("line")?.as_num()? as usize,
-        is_pub: matches!(v.get("pub"), Some(JsonValue::Bool(true))),
+        is_pub: matches!(v.get("pub"), Some(Value::Bool(true))),
         ret: v.get("ret")?.as_str()?.to_string(),
         calls: strings_of_arr(v.get("calls")),
         det_locals: strings_of_arr(v.get("det")),
-        in_test: matches!(v.get("test"), Some(JsonValue::Bool(true))),
+        in_test: matches!(v.get("test"), Some(Value::Bool(true))),
         ..FnFact::default()
     };
     for it in v.get("iters")?.as_arr()? {

@@ -60,7 +60,6 @@ pub mod cache;
 pub mod fixes;
 pub mod graph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod lints;
 mod report;

@@ -1,5 +1,6 @@
 //! Rendering findings for humans and machines.
 
+use starnuma_types::json::{obj, Value};
 use starnuma_types::Diagnostic;
 
 /// Renders findings as compiler-style text, one block per finding, plus a
@@ -22,10 +23,13 @@ pub fn render_human(findings: &[Diagnostic]) -> String {
     out
 }
 
-/// Renders findings as a JSON array (stable field order, no dependencies).
+/// Renders findings as a JSON array (stable field order).
 pub fn render_json(findings: &[Diagnostic]) -> String {
-    let items: Vec<String> = findings.iter().map(Diagnostic::to_json).collect();
-    format!("[{}]", items.join(","))
+    findings_value(findings).render()
+}
+
+fn findings_value(findings: &[Diagnostic]) -> Value {
+    Value::Arr(findings.iter().map(Diagnostic::to_value).collect())
 }
 
 /// Schema version of the `lint --json` report object.
@@ -40,10 +44,13 @@ pub fn render_json_report(
     suppressed: usize,
     files_scanned: usize,
 ) -> String {
-    format!(
-        "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"files_scanned\":{files_scanned},\"suppressed\":{suppressed},\"findings\":{}}}",
-        render_json(findings)
-    )
+    obj([
+        ("schema_version", f64::from(REPORT_SCHEMA_VERSION).into()),
+        ("files_scanned", (files_scanned as f64).into()),
+        ("suppressed", (suppressed as f64).into()),
+        ("findings", findings_value(findings)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

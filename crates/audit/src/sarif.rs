@@ -6,84 +6,74 @@
 //! shape follows the SARIF 2.1.0 schema subset that GitHub code scanning
 //! consumes.
 
+use starnuma_types::json::{obj, Value};
 use starnuma_types::Diagnostic;
-
-use crate::json::{obj, JsonValue};
 
 /// Renders findings as a SARIF 2.1.0 document.
 pub fn render_sarif(findings: &[Diagnostic], tool_version: &str) -> String {
     let mut codes: Vec<&str> = findings.iter().map(|d| d.code).collect();
     codes.sort_unstable();
     codes.dedup();
-    let rules: Vec<JsonValue> = codes
+    let rules: Vec<Value> = codes
         .iter()
         .map(|c| {
-            obj(vec![
-                ("id", JsonValue::Str((*c).to_string())),
-                (
-                    "shortDescription",
-                    obj(vec![("text", JsonValue::Str(rule_summary(c).to_string()))]),
-                ),
+            obj([
+                ("id", (*c).into()),
+                ("shortDescription", obj([("text", rule_summary(c).into())])),
             ])
         })
         .collect();
-    let results: Vec<JsonValue> = findings
+    let results: Vec<Value> = findings
         .iter()
         .map(|d| {
             let (path, line) = split_location(&d.location);
-            obj(vec![
-                ("ruleId", JsonValue::Str(d.code.to_string())),
+            obj([
+                ("ruleId", d.code.into()),
                 (
                     "level",
-                    JsonValue::Str(if d.is_error() { "error" } else { "warning" }.to_string()),
+                    if d.is_error() { "error" } else { "warning" }.into(),
                 ),
                 (
                     "message",
-                    obj(vec![(
-                        "text",
-                        JsonValue::Str(format!("{} — {}", d.message, d.hint)),
-                    )]),
+                    obj([("text", Value::Str(format!("{} — {}", d.message, d.hint)))]),
                 ),
                 (
                     "locations",
-                    JsonValue::Arr(vec![obj(vec![(
+                    Value::Arr(vec![obj([(
                         "physicalLocation",
-                        obj(vec![
-                            ("artifactLocation", obj(vec![("uri", JsonValue::Str(path))])),
-                            (
-                                "region",
-                                obj(vec![("startLine", JsonValue::Num(line as f64))]),
-                            ),
+                        obj([
+                            ("artifactLocation", obj([("uri", Value::Str(path))])),
+                            ("region", obj([("startLine", Value::Num(line as f64))])),
                         ]),
                     )])]),
                 ),
             ])
         })
         .collect();
-    obj(vec![
+    obj([
         (
             "$schema",
-            JsonValue::Str(
+            Value::Str(
                 "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
                     .to_string(),
             ),
         ),
-        ("version", JsonValue::Str("2.1.0".to_string())),
+        ("version", "2.1.0".into()),
         (
             "runs",
-            JsonValue::Arr(vec![obj(vec![
+            Value::Arr(vec![obj([
                 (
                     "tool",
-                    obj(vec![(
+                    obj([(
                         "driver",
-                        obj(vec![
-                            ("name", JsonValue::Str("starnuma-audit".to_string())),
-                            ("version", JsonValue::Str(tool_version.to_string())),
-                            ("rules", JsonValue::Arr(rules)),
+                        obj([
+                            ("name", "starnuma-audit".into()),
+                            ("version", tool_version.into()),
+                            ("rules", Value::Arr(rules)),
                         ]),
                     )]),
                 ),
-                ("results", JsonValue::Arr(results)),
+                ("results", Value::Arr(results)),
             ])]),
         ),
     ])
@@ -134,84 +124,78 @@ mod tests {
 
     #[test]
     fn sarif_shape_matches_2_1_0() {
-        let doc = JsonValue::parse(&render_sarif(&sample(), "0.1.0")).expect("valid json");
-        assert_eq!(
-            doc.get("version").and_then(JsonValue::as_str),
-            Some("2.1.0")
-        );
+        let doc = Value::parse(&render_sarif(&sample(), "0.1.0")).expect("valid json");
+        assert_eq!(doc.get("version").and_then(Value::as_str), Some("2.1.0"));
         assert!(doc
             .get("$schema")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .is_some_and(|s| s.contains("sarif-schema-2.1.0")));
-        let runs = doc.get("runs").and_then(JsonValue::as_arr).expect("runs");
+        let runs = doc.get("runs").and_then(Value::as_arr).expect("runs");
         assert_eq!(runs.len(), 1);
         let driver = runs[0]
             .get("tool")
             .and_then(|t| t.get("driver"))
             .expect("driver");
         assert_eq!(
-            driver.get("name").and_then(JsonValue::as_str),
+            driver.get("name").and_then(Value::as_str),
             Some("starnuma-audit")
         );
-        let rules = driver
-            .get("rules")
-            .and_then(JsonValue::as_arr)
-            .expect("rules");
+        let rules = driver.get("rules").and_then(Value::as_arr).expect("rules");
         assert_eq!(rules.len(), 2);
         let results = runs[0]
             .get("results")
-            .and_then(JsonValue::as_arr)
+            .and_then(Value::as_arr)
             .expect("results");
         assert_eq!(results.len(), 2);
         assert_eq!(
-            results[0].get("ruleId").and_then(JsonValue::as_str),
+            results[0].get("ruleId").and_then(Value::as_str),
             Some("SN001")
         );
         assert_eq!(
-            results[0].get("level").and_then(JsonValue::as_str),
+            results[0].get("level").and_then(Value::as_str),
             Some("error")
         );
         let loc = results[0]
             .get("locations")
-            .and_then(JsonValue::as_arr)
+            .and_then(Value::as_arr)
             .expect("locs")[0]
             .get("physicalLocation")
             .expect("phys");
         assert_eq!(
             loc.get("artifactLocation")
                 .and_then(|a| a.get("uri"))
-                .and_then(JsonValue::as_str),
+                .and_then(Value::as_str),
             Some("crates/sim/src/x.rs")
         );
         assert_eq!(
             loc.get("region")
                 .and_then(|r| r.get("startLine"))
-                .and_then(JsonValue::as_num),
+                .and_then(Value::as_num),
             Some(5.0)
         );
     }
 
     #[test]
     fn model_validation_locations_survive() {
-        let doc = JsonValue::parse(&render_sarif(&sample(), "0.1.0")).expect("valid json");
-        let results = doc.get("runs").and_then(JsonValue::as_arr).expect("runs")[0]
+        let doc = Value::parse(&render_sarif(&sample(), "0.1.0")).expect("valid json");
+        let results = doc.get("runs").and_then(Value::as_arr).expect("runs")[0]
             .get("results")
-            .and_then(JsonValue::as_arr)
+            .and_then(Value::as_arr)
             .expect("results");
         let loc = results[1]
             .get("locations")
-            .and_then(JsonValue::as_arr)
+            .and_then(Value::as_arr)
             .expect("locs")[0]
             .get("physicalLocation")
             .expect("phys");
         assert_eq!(
             loc.get("artifactLocation")
                 .and_then(|a| a.get("uri"))
-                .and_then(JsonValue::as_str),
+                .and_then(Value::as_str),
             Some("RunConfig.phases")
         );
         assert_eq!(
-            results[1].get("level").and_then(JsonValue::as_str),
+            results[1].get("level").and_then(Value::as_str),
             Some("warning")
         );
     }

@@ -23,11 +23,11 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use starnuma::report::Json;
 use starnuma::{Experiment, ScaleConfig, SystemKind, Workload};
 use starnuma_cache::{CacheConfig, SetAssocCache, Tlb, TlbConfig};
 use starnuma_coherence::Directory;
 use starnuma_mem::{DramTimings, MemoryModule};
+use starnuma_types::json::{obj, Value};
 use starnuma_types::{BlockAddr, Cycles, DetMap, GbPerSec, Location, PageId, SimRng, SocketId};
 
 /// Times `iters` calls of `f` (after a 1/10 warm-up) and returns ns/op.
@@ -50,43 +50,40 @@ fn ops_per_sec(ns_per_op: f64) -> f64 {
     }
 }
 
-fn substrate_entry(name: &str, iters: u64, ns_per_op: f64) -> (String, Json) {
+fn substrate_entry(name: &str, iters: u64, ns_per_op: f64) -> (String, Value) {
     println!("{name:<34} {iters:>9} iters {ns_per_op:>10.1} ns/op");
     (
         name.to_string(),
-        Json::Obj(vec![
-            ("iters".to_string(), Json::Num(iters as f64)),
-            ("ns_per_op".to_string(), Json::Num(ns_per_op)),
-            ("ops_per_sec".to_string(), Json::Num(ops_per_sec(ns_per_op))),
+        obj([
+            ("iters", Value::Num(iters as f64)),
+            ("ns_per_op", Value::Num(ns_per_op)),
+            ("ops_per_sec", Value::Num(ops_per_sec(ns_per_op))),
         ]),
     )
 }
 
 /// One DetMap-vs-BTreeMap comparison: both maps replay the identical
 /// RNG-driven op stream; the JSON records both sides and the speedup.
-fn index_entry(name: &str, iters: u64, det_ns: f64, btree_ns: f64) -> (String, Json) {
+fn index_entry(name: &str, iters: u64, det_ns: f64, btree_ns: f64) -> (String, Value) {
     let speedup = if det_ns > 0.0 { btree_ns / det_ns } else { 0.0 };
     println!(
         "{name:<34} {iters:>9} iters {det_ns:>10.1} ns/op  (btreemap {btree_ns:.1}, {speedup:.2}x)"
     );
     (
         name.to_string(),
-        Json::Obj(vec![
-            ("iters".to_string(), Json::Num(iters as f64)),
-            ("detmap_ns_per_op".to_string(), Json::Num(det_ns)),
-            ("btreemap_ns_per_op".to_string(), Json::Num(btree_ns)),
-            (
-                "detmap_ops_per_sec".to_string(),
-                Json::Num(ops_per_sec(det_ns)),
-            ),
-            ("speedup".to_string(), Json::Num(speedup)),
+        obj([
+            ("iters", Value::Num(iters as f64)),
+            ("detmap_ns_per_op", Value::Num(det_ns)),
+            ("btreemap_ns_per_op", Value::Num(btree_ns)),
+            ("detmap_ops_per_sec", Value::Num(ops_per_sec(det_ns))),
+            ("speedup", Value::Num(speedup)),
         ]),
     )
 }
 
 /// Directory-shaped stream: entry-or-default on a working set of blocks
 /// with occasional eviction, like `Directory::access`/`evict`.
-fn index_directory_pattern(iters: u64) -> (String, Json) {
+fn index_directory_pattern(iters: u64) -> (String, Value) {
     let det_ns = {
         let mut m: DetMap<BlockAddr, u32> = DetMap::new();
         let mut rng = SimRng::seed_from_u64(11);
@@ -116,7 +113,7 @@ fn index_directory_pattern(iters: u64) -> (String, Json) {
 
 /// TLB-shaped stream: hit-mostly lookups over a small resident set with
 /// insert+remove on each miss, like `Tlb::record_llc_miss`.
-fn index_tlb_pattern(iters: u64) -> (String, Json) {
+fn index_tlb_pattern(iters: u64) -> (String, Value) {
     let det_ns = {
         let mut m: DetMap<PageId, usize> = DetMap::new();
         let mut rng = SimRng::seed_from_u64(12);
@@ -146,7 +143,7 @@ fn index_tlb_pattern(iters: u64) -> (String, Json) {
 
 /// In-flight-shaped stream: short-lived insert + repeated probe, like the
 /// timing sim's migration window.
-fn index_inflight_pattern(iters: u64) -> (String, Json) {
+fn index_inflight_pattern(iters: u64) -> (String, Value) {
     let det_ns = {
         let mut m: DetMap<PageId, u64> = DetMap::new();
         let mut rng = SimRng::seed_from_u64(13);
@@ -176,7 +173,7 @@ fn index_inflight_pattern(iters: u64) -> (String, Json) {
     index_entry("index_inflight_pattern", iters, det_ns, btree_ns)
 }
 
-fn bench_end_to_end(smoke: bool) -> Json {
+fn bench_end_to_end(smoke: bool) -> Value {
     let mut scale = ScaleConfig::quick();
     if smoke {
         scale.phases = 1;
@@ -201,20 +198,14 @@ fn bench_end_to_end(smoke: bool) -> Json {
             workload.name(),
             minstr_per_sec
         );
-        runs.push(Json::Obj(vec![
-            (
-                "workload".to_string(),
-                Json::Str(workload.name().to_string()),
-            ),
-            ("core_instructions".to_string(), Json::Num(core_instr)),
-            ("wall_seconds".to_string(), Json::Num(secs)),
-            (
-                "minstr_per_sec_per_core".to_string(),
-                Json::Num(minstr_per_sec),
-            ),
+        runs.push(obj([
+            ("workload", Value::Str(workload.name().to_string())),
+            ("core_instructions", Value::Num(core_instr)),
+            ("wall_seconds", Value::Num(secs)),
+            ("minstr_per_sec_per_core", Value::Num(minstr_per_sec)),
         ]));
     }
-    Json::Arr(runs)
+    Value::Arr(runs)
 }
 
 fn main() {
@@ -279,21 +270,18 @@ fn main() {
     println!();
     let end_to_end = bench_end_to_end(smoke);
 
-    let doc = Json::Obj(vec![
+    let doc = obj([
         (
-            "meta".to_string(),
-            Json::Obj(vec![
-                ("bench".to_string(), Json::Str("hotpath".to_string())),
-                ("smoke".to_string(), Json::Bool(smoke)),
-                (
-                    "version".to_string(),
-                    Json::Str(env!("CARGO_PKG_VERSION").to_string()),
-                ),
+            "meta",
+            obj([
+                ("bench", Value::Str("hotpath".to_string())),
+                ("smoke", Value::Bool(smoke)),
+                ("version", Value::Str(env!("CARGO_PKG_VERSION").to_string())),
             ]),
         ),
-        ("index".to_string(), Json::Obj(index)),
-        ("substrates".to_string(), Json::Obj(substrates)),
-        ("end_to_end".to_string(), end_to_end),
+        ("index", Value::Obj(index)),
+        ("substrates", Value::Obj(substrates)),
+        ("end_to_end", end_to_end),
     ]);
 
     let out_path = std::env::var("STARNUMA_BENCH_OUT")
@@ -317,7 +305,7 @@ fn main() {
 /// Flattens every numeric leaf of a JSON document into `prefix.key` pairs
 /// (array elements use their index), producing the flat shape bench
 /// history entries require.
-fn flatten(prefix: &str, j: &Json, out: &mut Vec<(String, f64)>) {
+fn flatten(prefix: &str, j: &Value, out: &mut Vec<(String, f64)>) {
     let join = |key: &str| {
         if prefix.is_empty() {
             key.to_string()
@@ -326,13 +314,13 @@ fn flatten(prefix: &str, j: &Json, out: &mut Vec<(String, f64)>) {
         }
     };
     match j {
-        Json::Num(n) => out.push((prefix.to_string(), *n)),
-        Json::Obj(fields) => {
+        Value::Num(n) => out.push((prefix.to_string(), *n)),
+        Value::Obj(fields) => {
             for (k, v) in fields {
                 flatten(&join(k), v, out);
             }
         }
-        Json::Arr(items) => {
+        Value::Arr(items) => {
             for (i, v) in items.iter().enumerate() {
                 flatten(&join(&i.to_string()), v, out);
             }

@@ -17,6 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use starnuma::{Experiment, JobPool, RunResult, ScaleConfig, SystemKind, Workload};
+use starnuma_types::json::{write_num, write_str};
 
 /// Prints the standard bench banner.
 pub fn banner(artifact: &str, paper_ref: &str) {
@@ -136,14 +137,16 @@ pub fn append_history(bench: &str, smoke: bool, metrics: &[(String, f64)]) {
     use std::io::Write as _;
     let path = std::env::var("STARNUMA_BENCH_HISTORY")
         .unwrap_or_else(|_| format!("{}/../../BENCH_history.jsonl", env!("CARGO_MANIFEST_DIR")));
-    let mut line = format!(
-        "{{\"schema_version\":1,\"bench\":\"{bench}\",\"smoke\":{},\"version\":\"{}\"",
-        u8::from(smoke),
-        env!("CARGO_PKG_VERSION"),
-    );
+    let mut line = String::from("{\"schema_version\":1,\"bench\":");
+    write_str(&mut line, bench);
+    line.push_str(&format!(",\"smoke\":{},\"version\":", u8::from(smoke)));
+    write_str(&mut line, env!("CARGO_PKG_VERSION"));
     for (key, value) in metrics {
-        let value = if value.is_finite() { *value } else { 0.0 };
-        line.push_str(&format!(",\"{key}\":{value}"));
+        line.push(',');
+        write_str(&mut line, key);
+        line.push(':');
+        // A history line holds numbers only: a non-finite metric writes 0.
+        write_num(&mut line, if value.is_finite() { *value } else { 0.0 });
     }
     line.push_str("}\n");
     let written = std::fs::OpenOptions::new()

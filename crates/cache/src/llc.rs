@@ -108,9 +108,9 @@ const EMPTY: u64 = u64::MAX;
 /// generate writeback traffic.
 ///
 /// Ways are stored as two parallel arrays so a lookup scans only tags (one
-/// `u64` per way): `tags` holds each way's block frame number or [`EMPTY`],
-/// and `meta` holds `lru << 1 | dirty`, where a larger `lru` is more
-/// recently used.
+/// `u64` per way): `tags` holds each way's block frame number or
+/// `u64::MAX` for an empty way, and `meta` holds `lru << 1 | dirty`,
+/// where a larger `lru` is more recently used.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,

@@ -7,11 +7,11 @@ use std::process::ExitCode;
 use std::collections::BTreeMap;
 
 use starnuma::obs::{
-    metrics_json, parse_flat_object, trace_jsonl, try_percentile_from_counts, JsonValue, ObsReport,
-    RunExtras, RunMeta, RunRecord, SiteSummary, LEDGER_FILE, MONITOR_NAMES,
+    metrics_json, trace_jsonl, try_percentile_from_counts, ObsReport, RunExtras, RunMeta,
+    RunRecord, SiteSummary, LEDGER_FILE, MONITOR_NAMES,
 };
 use starnuma::prof;
-use starnuma::report::{run_result_json, Json};
+use starnuma::report::run_result_json;
 use starnuma::{
     geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunResult,
     ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
@@ -19,6 +19,7 @@ use starnuma::{
 use starnuma_migration::ReplicationConfig;
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
+use starnuma_types::json::{obj, Value};
 use starnuma_types::{digest_hex, fnv1a_digest, Location, SocketId};
 
 use crate::args::{ArgError, Args};
@@ -472,7 +473,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         .map(|s| (s, computed[&s].clone()))
         .collect();
     if args.switch("json") {
-        let arr = Json::Arr(
+        let arr = Value::Arr(
             rows.iter()
                 .map(|(s, r)| run_result_json(workload, *s, r))
                 .collect(),
@@ -579,28 +580,25 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
         // Self-describing output: a `meta` header (scale preset, worker
         // count, seed, version) plus the per-workload results — so a sweep
         // artifact alone records how it was produced.
-        let meta = Json::Obj(vec![
-            ("system".into(), Json::Str(system.label().into())),
-            ("preset".into(), Json::Str(preset_name(scale.preset).into())),
-            ("jobs".into(), Json::Num(JobPool::global().workers() as f64)),
-            ("seed".into(), Json::Num(scale.seed as f64)),
-            (
-                "version".into(),
-                Json::Str(env!("CARGO_PKG_VERSION").into()),
-            ),
+        let meta = obj([
+            ("system", system.label().into()),
+            ("preset", preset_name(scale.preset).into()),
+            ("jobs", (JobPool::global().workers() as f64).into()),
+            ("seed", (scale.seed as f64).into()),
+            ("version", env!("CARGO_PKG_VERSION").into()),
         ]);
-        let results = Json::Arr(
+        let results = Value::Arr(
             rows.iter()
                 .map(|(name, s)| {
-                    Json::Obj(vec![
-                        ("workload".into(), Json::Str((*name).into())),
-                        ("system".into(), Json::Str(system.label().into())),
-                        ("speedup".into(), Json::Num(*s)),
+                    obj([
+                        ("workload", (*name).into()),
+                        ("system", system.label().into()),
+                        ("speedup", (*s).into()),
                     ])
                 })
                 .collect(),
         );
-        let doc = Json::Obj(vec![("meta".into(), meta), ("results".into(), results)]);
+        let doc = obj([("meta", meta), ("results", results)]);
         println!("{}", doc.render());
         return Ok(exit);
     }
@@ -923,42 +921,53 @@ pub fn cmd_profile(args: &Args) -> Result<ExitCode, ArgError> {
     Ok(exit)
 }
 
-/// Loads bench metrics from a flat JSON object file or a
-/// `BENCH_history.jsonl` file. Every non-empty line must be a flat JSON
-/// object; numeric fields are merged across lines with later lines
-/// superseding earlier ones per key, so a history file compares at its
-/// most recent state. Identity fields (`bench`, `schema_version`,
-/// `smoke`, `version`) are not metrics and are dropped.
-fn load_bench_metrics(path: &str) -> Result<BTreeMap<String, f64>, ArgError> {
+/// Parses line `i` of `path` as a JSON object, its fields keyed by name
+/// (the last occurrence of a repeated key wins).
+fn object_line(path: &str, i: usize, line: &str) -> Result<BTreeMap<String, Value>, ArgError> {
+    match Value::parse(line) {
+        Some(Value::Obj(fields)) => Ok(fields.into_iter().collect()),
+        _ => Err(ArgError(format!(
+            "{path}:{}: not a JSON object line",
+            i + 1
+        ))),
+    }
+}
+
+/// Reads a bench-metric file — one flat JSON object, or a
+/// `BENCH_history.jsonl` file of them — as one metric map per non-empty
+/// line. Only numeric fields are metrics; the identity fields (`bench`,
+/// `schema_version`, `smoke`, `version`) are dropped.
+fn bench_metric_lines(path: &str) -> Result<Vec<BTreeMap<String, f64>>, ArgError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let mut metrics = BTreeMap::new();
-    let mut parsed_any = false;
+    let mut lines = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let obj = parse_flat_object(line)
-            .ok_or_else(|| ArgError(format!("{path}:{}: not a flat JSON object line", i + 1)))?;
-        parsed_any = true;
-        for (key, value) in obj {
-            if matches!(
-                key.as_str(),
-                "bench" | "schema_version" | "smoke" | "version"
-            ) {
-                continue;
-            }
-            if let JsonValue::Num(n) = value {
-                if n.is_finite() {
-                    metrics.insert(key, n);
-                }
-            }
-        }
+        let metrics = object_line(path, i, line)?
+            .into_iter()
+            .filter(|(key, _)| {
+                !matches!(
+                    key.as_str(),
+                    "bench" | "schema_version" | "smoke" | "version"
+                )
+            })
+            .filter_map(|(key, value)| Some((key, value.as_num()?)))
+            .collect();
+        lines.push(metrics);
     }
-    if !parsed_any {
+    Ok(lines)
+}
+
+/// Loads bench metrics with later lines superseding earlier ones per
+/// key, so a history file compares at its most recent state.
+fn load_bench_metrics(path: &str) -> Result<BTreeMap<String, f64>, ArgError> {
+    let lines = bench_metric_lines(path)?;
+    if lines.is_empty() {
         return Err(ArgError(format!("{path}: no metric lines")));
     }
-    Ok(metrics)
+    Ok(lines.into_iter().flatten().collect())
 }
 
 /// The known-good direction of a bench metric, inferred from its key.
@@ -1086,28 +1095,9 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
 /// — the history file's oldest state, which `starnuma report` diffs
 /// against the newest to show how the benches moved over the whole file.
 fn load_bench_first_state(path: &str) -> Result<BTreeMap<String, f64>, ArgError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let mut metrics = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = parse_flat_object(line)
-            .ok_or_else(|| ArgError(format!("{path}:{}: not a flat JSON object line", i + 1)))?;
-        for (key, value) in obj {
-            if matches!(
-                key.as_str(),
-                "bench" | "schema_version" | "smoke" | "version"
-            ) {
-                continue;
-            }
-            if let JsonValue::Num(n) = value {
-                if n.is_finite() {
-                    metrics.entry(key).or_insert(n);
-                }
-            }
-        }
+    for (key, value) in bench_metric_lines(path)?.into_iter().flatten() {
+        metrics.entry(key).or_insert(value);
     }
     Ok(metrics)
 }
@@ -1279,84 +1269,76 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
     };
 
     if args.switch("json") {
-        let experiments = Json::Arr(
+        let experiments = Value::Arr(
             groups
                 .iter()
                 .map(|g| {
                     let (last, delta, p95, _) = trend_row(g);
-                    Json::Obj(vec![
-                        ("workload".into(), Json::Str(g.workload.into())),
-                        ("system".into(), Json::Str(g.system.into())),
-                        ("runs".into(), Json::Num(g.records.len() as f64)),
-                        ("ipc_last".into(), Json::Num(last)),
-                        ("ipc_delta".into(), Json::Num(delta)),
-                        ("p95_ns_last".into(), Json::Num(p95)),
+                    obj([
+                        ("workload", g.workload.into()),
+                        ("system", g.system.into()),
+                        ("runs", (g.records.len() as f64).into()),
+                        ("ipc_last", last.into()),
+                        ("ipc_delta", delta.into()),
+                        ("p95_ns_last", p95.into()),
                         (
-                            "ipc_series".into(),
-                            Json::Arr(g.records.iter().map(|r| Json::Num(r.ipc)).collect()),
+                            "ipc_series",
+                            Value::Arr(g.records.iter().map(|r| r.ipc.into()).collect()),
                         ),
                     ])
                 })
                 .collect(),
         );
-        let drift_json = Json::Arr(
+        let drift_json = Value::Arr(
             drift
                 .iter()
                 .map(|d| {
-                    Json::Obj(vec![
-                        ("workload".into(), Json::Str(d.workload.into())),
-                        ("system".into(), Json::Str(d.system.into())),
-                        ("preset".into(), Json::Str(d.preset.into())),
-                        ("seed".into(), Json::Num(d.seed as f64)),
+                    obj([
+                        ("workload", d.workload.into()),
+                        ("system", d.system.into()),
+                        ("preset", d.preset.into()),
+                        ("seed", (d.seed as f64).into()),
+                        ("config_digest", digest_hex(d.config_digest).into()),
                         (
-                            "config_digest".into(),
-                            Json::Str(digest_hex(d.config_digest)),
-                        ),
-                        (
-                            "result_digests".into(),
-                            Json::Arr(
+                            "result_digests",
+                            Value::Arr(
                                 d.result_digests
                                     .iter()
-                                    .map(|x| Json::Str(digest_hex(*x)))
+                                    .map(|x| digest_hex(*x).into())
                                     .collect(),
                             ),
                         ),
                         (
-                            "versions".into(),
-                            Json::Arr(
-                                d.versions
-                                    .iter()
-                                    .map(|v| Json::Str((*v).to_string()))
-                                    .collect(),
-                            ),
+                            "versions",
+                            Value::Arr(d.versions.iter().map(|v| (*v).into()).collect()),
                         ),
                     ])
                 })
                 .collect(),
         );
         let mut doc = vec![
-            ("ledger".into(), Json::Str(shown_path.clone())),
-            ("records".into(), Json::Num(records.len() as f64)),
-            ("experiments".into(), experiments),
+            ("ledger", shown_path.clone().into()),
+            ("records", (records.len() as f64).into()),
+            ("experiments", experiments),
             (
-                "monitors".into(),
-                Json::Obj(vec![
-                    ("checks".into(), Json::Num(checks as f64)),
-                    ("violations".into(), Json::Num(violations as f64)),
+                "monitors",
+                obj([
+                    ("checks", (checks as f64).into()),
+                    ("violations", (violations as f64).into()),
                 ]),
             ),
-            ("drift".into(), drift_json),
+            ("drift", drift_json),
         ];
         if let Some((path, _, regressions)) = &bench {
             doc.push((
-                "bench".into(),
-                Json::Obj(vec![
-                    ("history".into(), Json::Str(path.clone())),
-                    ("regressions".into(), Json::Num(*regressions as f64)),
+                "bench",
+                obj([
+                    ("history", path.clone().into()),
+                    ("regressions", (*regressions as f64).into()),
                 ]),
             ));
         }
-        println!("{}", Json::Obj(doc).render());
+        println!("{}", obj(doc).render());
     } else if args.switch("markdown") {
         println!("# starnuma report");
         println!();
@@ -1469,18 +1451,18 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
 /// `sweep --trace-out`) concatenates sections.
 #[derive(Default)]
 struct TraceSection {
-    meta: BTreeMap<String, JsonValue>,
-    events: Vec<BTreeMap<String, JsonValue>>,
-    hists: Vec<BTreeMap<String, JsonValue>>,
-    counters: BTreeMap<String, JsonValue>,
+    meta: BTreeMap<String, Value>,
+    events: Vec<BTreeMap<String, Value>>,
+    hists: Vec<BTreeMap<String, Value>>,
+    counters: BTreeMap<String, Value>,
 }
 
-fn num_of(obj: &BTreeMap<String, JsonValue>, key: &str) -> f64 {
-    obj.get(key).and_then(JsonValue::as_num).unwrap_or(0.0)
+fn num_of(obj: &BTreeMap<String, Value>, key: &str) -> f64 {
+    obj.get(key).and_then(Value::as_num).unwrap_or(0.0)
 }
 
-fn str_of<'a>(obj: &'a BTreeMap<String, JsonValue>, key: &str) -> &'a str {
-    obj.get(key).and_then(JsonValue::as_str).unwrap_or("?")
+fn str_of<'a>(obj: &'a BTreeMap<String, Value>, key: &str) -> &'a str {
+    obj.get(key).and_then(Value::as_str).unwrap_or("?")
 }
 
 /// Parses a `--trace-out` JSONL file into sections, one per `meta` line.
@@ -1492,9 +1474,8 @@ fn parse_trace_file(path: &str) -> Result<Vec<TraceSection>, ArgError> {
         if line.trim().is_empty() {
             continue;
         }
-        let obj = parse_flat_object(line)
-            .ok_or_else(|| ArgError(format!("{path}:{}: not a flat JSON object line", i + 1)))?;
-        match obj.get("type").and_then(JsonValue::as_str) {
+        let obj = object_line(path, i, line)?;
+        match obj.get("type").and_then(Value::as_str) {
             Some("meta") => sections.push(TraceSection {
                 meta: obj,
                 ..TraceSection::default()
@@ -1676,10 +1657,10 @@ fn render_section(section: &TraceSection, top: usize) {
     if !section.hists.is_empty() {
         println!("per-socket access-latency histograms (32 log2-ns buckets):");
         for h in &section.hists {
-            let buckets = match h.get("buckets") {
-                Some(JsonValue::Arr(b)) => b.clone(),
-                _ => Vec::new(),
-            };
+            let buckets: Vec<f64> = h
+                .get("buckets")
+                .and_then(Value::as_arr)
+                .map_or(Vec::new(), |b| b.iter().filter_map(Value::as_num).collect());
             // An empty histogram has no p95; render `-` rather than a
             // `0 ns` that is indistinguishable from a real measurement.
             let p95 = match try_percentile_from_counts(&buckets, 0.95) {
@@ -1709,32 +1690,27 @@ fn render_section(section: &TraceSection, top: usize) {
 /// The `args` payload for a Chrome event: every journal field except the
 /// envelope (`type`/`seq`/`phase`/`cat`/`name`) and the `edge` pairing
 /// marker, with `level` always first.
-fn chrome_args(e: &BTreeMap<String, JsonValue>) -> Json {
-    let mut event_args = vec![(
-        "level".to_string(),
-        Json::Str(str_of(e, "level").to_string()),
-    )];
-    for (k, v) in e {
-        if matches!(
-            k.as_str(),
-            "type" | "seq" | "phase" | "level" | "cat" | "name" | "edge"
-        ) {
-            continue;
-        }
-        let value = match v {
-            JsonValue::Num(n) => Json::Num(*n),
-            JsonValue::Str(s) => Json::Str(s.clone()),
-            JsonValue::Arr(a) => Json::Arr(a.iter().map(|n| Json::Num(*n)).collect()),
-        };
-        event_args.push((k.clone(), value));
-    }
-    Json::Obj(event_args)
+fn chrome_args(e: &BTreeMap<String, Value>) -> Value {
+    let mut event_args = vec![("level".to_string(), str_of(e, "level").into())];
+    event_args.extend(
+        e.iter()
+            .filter(|(k, _)| {
+                !matches!(
+                    k.as_str(),
+                    "type" | "seq" | "phase" | "level" | "cat" | "name" | "edge"
+                )
+            })
+            .map(|(k, v)| (k.clone(), v.clone())),
+    );
+    Value::Obj(event_args)
 }
 
-/// Converts parsed event lines back into Chrome `trace_event` JSON,
-/// pairing `phase_checkpoint` begin/end edge markers into one duration
-/// (`"ph":"X"`) span per phase — the same pairing [`starnuma::obs`]'s own
-/// exporter performs. Unpaired or edge-less events stay instants.
+/// Converts parsed event lines into Chrome `trace_event` JSON (openable
+/// in `about://tracing` / Perfetto). Events become instants whose
+/// timestamp is the sequence number and whose `tid` is the phase; each
+/// phase's `phase_checkpoint` begin/end edge markers pair into one
+/// duration (`"ph":"X"`) span. Unpaired or edge-less events stay
+/// instants.
 fn chrome_from_sections(sections: &[TraceSection]) -> String {
     let mut trace_events = Vec::new();
     for section in sections {
@@ -1743,7 +1719,7 @@ fn chrome_from_sections(sections: &[TraceSection]) -> String {
             if str_of(e, "name") != "phase_checkpoint" {
                 continue;
             }
-            let Some(edge) = e.get("edge").and_then(JsonValue::as_str) else {
+            let Some(edge) = e.get("edge").and_then(Value::as_str) else {
                 continue;
             };
             let entry = spans
@@ -1768,36 +1744,36 @@ fn chrome_from_sections(sections: &[TraceSection]) -> String {
             if consumed[i] {
                 continue;
             }
-            trace_events.push(Json::Obj(vec![
-                ("name".into(), Json::Str(str_of(e, "name").into())),
-                ("cat".into(), Json::Str(str_of(e, "cat").into())),
-                ("ph".into(), Json::Str("i".into())),
-                ("ts".into(), Json::Num(num_of(e, "seq"))),
-                ("pid".into(), Json::Num(0.0)),
-                ("tid".into(), Json::Num(num_of(e, "phase"))),
-                ("s".into(), Json::Str("t".into())),
-                ("args".into(), chrome_args(e)),
+            trace_events.push(obj([
+                ("name", str_of(e, "name").into()),
+                ("cat", str_of(e, "cat").into()),
+                ("ph", "i".into()),
+                ("ts", num_of(e, "seq").into()),
+                ("pid", 0.0.into()),
+                ("tid", num_of(e, "phase").into()),
+                ("s", "t".into()),
+                ("args", chrome_args(e)),
             ]));
         }
         for (phase, bi, ei) in paired {
             let begin = &section.events[bi];
             let end = &section.events[ei];
             let dur = (num_of(end, "seq") - num_of(begin, "seq")).max(0.0);
-            trace_events.push(Json::Obj(vec![
-                ("name".into(), Json::Str(str_of(begin, "name").into())),
-                ("cat".into(), Json::Str(str_of(begin, "cat").into())),
-                ("ph".into(), Json::Str("X".into())),
-                ("ts".into(), Json::Num(num_of(begin, "seq"))),
-                ("dur".into(), Json::Num(dur)),
-                ("pid".into(), Json::Num(0.0)),
-                ("tid".into(), Json::Num(phase as f64)),
-                ("args".into(), chrome_args(begin)),
+            trace_events.push(obj([
+                ("name", str_of(begin, "name").into()),
+                ("cat", str_of(begin, "cat").into()),
+                ("ph", "X".into()),
+                ("ts", num_of(begin, "seq").into()),
+                ("dur", dur.into()),
+                ("pid", 0.0.into()),
+                ("tid", (phase as f64).into()),
+                ("args", chrome_args(begin)),
             ]));
         }
     }
-    Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(trace_events)),
-        ("displayTimeUnit".into(), Json::Str("ms".into())),
+    obj([
+        ("traceEvents", Value::Arr(trace_events)),
+        ("displayTimeUnit", "ms".into()),
     ])
     .render()
 }

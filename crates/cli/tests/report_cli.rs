@@ -197,3 +197,38 @@ fn inspect_handles_sparse_and_empty_traces() {
         "eventless phases must not render placeholder rows: {stdout}"
     );
 }
+
+/// `inspect --chrome` over a checked-in trace matches the committed
+/// golden byte for byte, and pairs the phase's `phase_checkpoint`
+/// begin/end edges into one duration span while other events stay
+/// instants.
+#[test]
+fn inspect_chrome_matches_golden_and_pairs_checkpoint_edges() {
+    let dir = temp_dir("starnuma-report-cli-chrome");
+    let out_path = dir.join("chrome.json");
+    let out = starnuma()
+        .current_dir(fixtures())
+        .args(["inspect", "chrome_trace.jsonl", "--chrome"])
+        .arg(&out_path)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let text = fs::read_to_string(&out_path).expect("chrome output written");
+    let golden =
+        fs::read_to_string(fixtures().join("chrome_trace.json.golden")).expect("golden present");
+    assert_eq!(text, golden, "inspect --chrome drifted from the golden");
+
+    // The begin/end pair collapses into one duration span: ts 4 -> 7.
+    assert_eq!(text.matches("\"ph\":\"X\"").count(), 1, "{text}");
+    assert!(text.contains("\"ts\":4,\"dur\":3"), "{text}");
+    assert!(text.contains("\"planned_moves\":3"), "{text}");
+    assert_eq!(text.matches("phase_checkpoint").count(), 1, "{text}");
+    // The pairing marker does not leak into the span's args.
+    assert!(!text.contains("\"edge\""), "{text}");
+    // The event between the edges stays an instant.
+    assert!(
+        text.contains("{\"name\":\"region_migrated\",\"cat\":\"migration\",\"ph\":\"i\""),
+        "{text}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -21,8 +21,8 @@
 //! * [`starnuma_sim`]: the discrete-event timing simulator (steps B+C);
 //! * [`starnuma_obs`] (re-exported as [`obs`]): the zero-dependency
 //!   observability layer — per-socket latency histograms, substrate
-//!   counters, and the structured event journal with JSONL / Chrome
-//!   `trace_event` exporters.
+//!   counters, and the structured event journal with JSONL trace and
+//!   metrics JSON exporters.
 //!
 //! # Quick start
 //!

@@ -1,207 +1,72 @@
 //! Machine-readable experiment reports.
 //!
-//! A tiny, dependency-free JSON emitter for [`RunResult`]s and experiment
-//! summaries, so harness output can be consumed by plotting scripts or CI
-//! checks. Only the subset of JSON we need is produced (objects, arrays,
-//! strings, finite numbers) — and everything emitted here is
-//! ASCII-escaped, so the output is always valid UTF-8 JSON.
+//! [`RunResult`]s and sweep curves as JSON values (the workspace's one
+//! JSON module, [`starnuma_types::json`]), so harness output can be
+//! consumed by plotting scripts or CI checks.
 
 use starnuma_sim::RunResult;
 use starnuma_topology::AccessClass;
 use starnuma_trace::Workload;
+use starnuma_types::json::{obj, Value};
 
 use crate::experiment::SystemKind;
 use crate::sweep::SweepPoint;
 
-/// A minimal JSON value builder.
-#[derive(Clone, Debug)]
-pub enum Json {
-    /// A JSON number (must be finite).
-    Num(f64),
-    /// A JSON string.
-    Str(String),
-    /// A JSON boolean.
-    Bool(bool),
-    /// A JSON array.
-    Arr(Vec<Json>),
-    /// A JSON object with ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Serializes the value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a number is not finite (JSON cannot represent NaN/∞).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Num(n) => {
-                assert!(n.is_finite(), "JSON numbers must be finite, got {n}");
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
 /// Renders one run result as a JSON object.
-pub fn run_result_json(workload: Workload, system: SystemKind, r: &RunResult) -> Json {
-    let classes: Vec<Json> = AccessClass::ALL
+pub fn run_result_json(workload: Workload, system: SystemKind, r: &RunResult) -> Value {
+    let classes = AccessClass::ALL
         .iter()
         .enumerate()
         .map(|(i, c)| {
-            Json::Obj(vec![
-                ("class".into(), Json::Str(c.label().into())),
-                ("fraction".into(), Json::Num(r.class_fracs[i])),
-                ("mean_latency_ns".into(), Json::Num(r.class_mean_ns[i])),
+            obj([
+                ("class", c.label().into()),
+                ("fraction", r.class_fracs[i].into()),
+                ("mean_latency_ns", r.class_mean_ns[i].into()),
             ])
         })
         .collect();
-    Json::Obj(vec![
-        ("workload".into(), Json::Str(workload.name().into())),
-        ("system".into(), Json::Str(system.label().into())),
-        ("ipc".into(), Json::Num(r.ipc)),
-        ("amat_ns".into(), Json::Num(r.amat_ns)),
-        ("unloaded_amat_ns".into(), Json::Num(r.unloaded_amat_ns)),
-        ("contention_ns".into(), Json::Num(r.contention_ns)),
-        ("mpki".into(), Json::Num(r.mpki)),
-        ("pages_migrated".into(), Json::Num(r.pages_migrated as f64)),
-        ("pages_to_pool".into(), Json::Num(r.pages_to_pool as f64)),
+    let d = &r.directory;
+    obj([
+        ("workload", workload.name().into()),
+        ("system", system.label().into()),
+        ("ipc", r.ipc.into()),
+        ("amat_ns", r.amat_ns.into()),
+        ("unloaded_amat_ns", r.unloaded_amat_ns.into()),
+        ("contention_ns", r.contention_ns.into()),
+        ("mpki", r.mpki.into()),
+        ("pages_migrated", (r.pages_migrated as f64).into()),
+        ("pages_to_pool", (r.pages_to_pool as f64).into()),
+        ("pool_migration_fraction", r.pool_migration_frac().into()),
+        ("access_breakdown", Value::Arr(classes)),
         (
-            "pool_migration_fraction".into(),
-            Json::Num(r.pool_migration_frac()),
-        ),
-        ("access_breakdown".into(), Json::Arr(classes)),
-        (
-            "directory".into(),
-            Json::Obj(vec![
-                (
-                    "transactions".into(),
-                    Json::Num(r.directory.transactions as f64),
-                ),
-                (
-                    "pool_transactions".into(),
-                    Json::Num(r.directory.pool_transactions as f64),
-                ),
-                ("bt_socket".into(), Json::Num(r.directory.bt_socket as f64)),
-                ("bt_pool".into(), Json::Num(r.directory.bt_pool as f64)),
-                (
-                    "invalidations".into(),
-                    Json::Num(r.directory.invalidations as f64),
-                ),
+            "directory",
+            obj([
+                ("transactions", (d.transactions as f64).into()),
+                ("pool_transactions", (d.pool_transactions as f64).into()),
+                ("bt_socket", (d.bt_socket as f64).into()),
+                ("bt_pool", (d.bt_pool as f64).into()),
+                ("invalidations", (d.invalidations as f64).into()),
             ]),
         ),
-        ("phases".into(), Json::Num(r.phases.len() as f64)),
+        ("phases", (r.phases.len() as f64).into()),
     ])
 }
 
 /// Renders a sweep curve as a JSON object: `{"knob": ..., "points":
 /// [{"x": ..., "speedup": ...}, ...]}`. `knob` names the swept parameter
 /// (e.g. `cxl_one_way_ns`, `pool_capacity_frac`).
-pub fn sweep_points_json(knob: &str, points: &[SweepPoint]) -> Json {
-    Json::Obj(vec![
-        ("knob".into(), Json::Str(knob.into())),
-        (
-            "points".into(),
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("x".into(), Json::Num(p.x)),
-                            ("speedup".into(), Json::Num(p.speedup)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+pub fn sweep_points_json(knob: &str, points: &[SweepPoint]) -> Value {
+    let points = points
+        .iter()
+        .map(|p| obj([("x", p.x.into()), ("speedup", p.speedup.into())]))
+        .collect();
+    obj([("knob", knob.into()), ("points", Value::Arr(points))])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Experiment, ScaleConfig};
-
-    #[test]
-    fn json_primitives() {
-        assert_eq!(Json::Num(3.0).render(), "3");
-        assert_eq!(Json::Num(1.5).render(), "1.5");
-        assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(
-            Json::Str("a\"b\\c\nd".into()).render(),
-            "\"a\\\"b\\\\c\\nd\""
-        );
-        assert_eq!(
-            Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]).render(),
-            "[1,2]"
-        );
-        assert_eq!(
-            Json::Obj(vec![("k".into(), Json::Num(1.0))]).render(),
-            "{\"k\":1}"
-        );
-    }
-
-    #[test]
-    fn control_chars_escaped() {
-        assert_eq!(Json::Str("\u{1}".into()).render(), "\"\\u0001\"");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn non_finite_rejected() {
-        let _ = Json::Num(f64::NAN).render();
-    }
 
     #[test]
     fn sweep_points_serialize() {
@@ -229,9 +94,9 @@ mod tests {
         assert!(json.contains("\"workload\":\"POA\""));
         assert!(json.contains("\"access_breakdown\":["));
         assert!(json.contains("\"pool_migration_fraction\":0"));
-        // Balanced braces (a weak well-formedness check without a parser).
-        let opens = json.matches('{').count() + json.matches('[').count();
-        let closes = json.matches('}').count() + json.matches(']').count();
-        assert_eq!(opens, closes);
+        let parsed = Value::parse(&json).expect("valid JSON");
+        assert_eq!(parsed.render(), json);
+        let classes = parsed.get("access_breakdown").and_then(Value::as_arr);
+        assert_eq!(classes.map(<[_]>::len), Some(AccessClass::ALL.len()));
     }
 }

@@ -3,12 +3,10 @@
 //! `starnuma run/compare/sweep --ledger DIR` append a [`RunRecord`] per
 //! run to `DIR/runs.jsonl`; `starnuma report` reads the file back and
 //! renders cross-run trends and determinism-drift flags. Records are
-//! *flat* JSON objects (dotted keys, like the bench history file) so
-//! [`parse_flat_object`](crate::parse_flat_object) can read them without
-//! a real JSON parser, and every field is deterministic except
-//! `wall_ns`, which callers obtain from the sanctioned
-//! `SessionTimer` path and pass in explicitly — determinism tests pass a
-//! fixed value and byte-compare whole lines.
+//! *flat* JSON objects (dotted keys, like the bench history file), and
+//! every field is deterministic except `wall_ns`, which callers obtain
+//! from the sanctioned `SessionTimer` path and pass in explicitly —
+//! determinism tests pass a fixed value and byte-compare whole lines.
 //!
 //! 64-bit digests travel as `"0x..."` hex strings: JSON numbers are
 //! `f64` and silently lose integer precision above 2^53.
@@ -17,9 +15,10 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use starnuma_types::{digest_hex, json_escape, parse_digest_hex};
+use starnuma_types::json::{write_num, write_str, Value};
+use starnuma_types::{digest_hex, parse_digest_hex};
 
-use crate::export::{parse_flat_object, RunMeta};
+use crate::export::RunMeta;
 use crate::metrics::LatencyHistogram;
 use crate::monitor::MonitorReport;
 use crate::sink::ObsReport;
@@ -236,21 +235,21 @@ impl RunRecord {
         out
     }
 
-    /// Parses a line written by [`to_json_line`]. `None` on syntax
-    /// errors, missing identity fields, or a schema version this build
-    /// does not understand.
+    /// Parses a line written by [`RunRecord::to_json_line`]. `None` on
+    /// syntax errors, missing identity fields, or a schema version this
+    /// build does not understand.
     pub fn from_json_line(line: &str) -> Option<Self> {
-        let map = parse_flat_object(line)?;
-        let num = |key: &str| -> Option<f64> { map.get(key)?.as_num() };
+        let doc = Value::parse(line)?;
+        let num = |key: &str| -> Option<f64> { doc.get(key)?.as_num() };
         let int = |key: &str| -> Option<u64> { num(key).map(to_u64) };
-        let text = |key: &str| -> Option<String> { Some(map.get(key)?.as_str()?.to_string()) };
+        let text = |key: &str| -> Option<String> { Some(doc.get(key)?.as_str()?.to_string()) };
         if int("schema_version")? != LEDGER_SCHEMA_VERSION {
             return None;
         }
         let mut classes: BTreeMap<String, ClassSummary> = BTreeMap::new();
         let mut counters = BTreeMap::new();
         let mut sites: BTreeMap<String, SiteSummary> = BTreeMap::new();
-        for (key, value) in &map {
+        for (key, value) in doc.as_obj()? {
             if let Some(rest) = key.strip_prefix("class.") {
                 let (label, field) = rest.rsplit_once('.')?;
                 let entry = classes
@@ -292,8 +291,8 @@ impl RunRecord {
             jobs: int("jobs")?,
             seed: int("seed")?,
             version: text("version")?,
-            config_digest: parse_digest_hex(map.get("config_digest")?.as_str()?)?,
-            result_digest: parse_digest_hex(map.get("result_digest")?.as_str()?)?,
+            config_digest: parse_digest_hex(doc.get("config_digest")?.as_str()?)?,
+            result_digest: parse_digest_hex(doc.get("result_digest")?.as_str()?)?,
             wall_ns: int("wall_ns")?,
             ipc: num("ipc")?,
             amat_ns: num("amat_ns")?,
@@ -347,28 +346,19 @@ fn push_key(out: &mut String, key: &str) {
     if out.len() > 1 {
         out.push(',');
     }
-    out.push('"');
-    out.push_str(&json_escape(key));
-    out.push_str("\":");
+    write_str(out, key);
+    out.push(':');
 }
 
 fn push_str(out: &mut String, key: &str, value: &str) {
     push_key(out, key);
-    out.push('"');
-    out.push_str(&json_escape(value));
-    out.push('"');
+    write_str(out, value);
 }
 
+/// Ledger numbers are always numbers: a non-finite value writes `0`.
 fn push_num(out: &mut String, key: &str, value: f64) {
     push_key(out, key);
-    if value.is_finite() {
-        // `{}` is Rust's shortest-roundtrip rendering: parsing the text
-        // back yields the identical bits, which is what makes
-        // to_json_line(from_json_line(x)) == x byte-for-byte.
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{value}"));
-    } else {
-        out.push('0');
-    }
+    write_num(out, if value.is_finite() { value } else { 0.0 });
 }
 
 fn push_summary(out: &mut String, prefix: &str, c: &ClassSummary) {
@@ -455,6 +445,18 @@ mod tests {
         assert!(line.contains("\"class.pool.count\":0"));
         assert!(!line.contains("class.pool.p50_ns"));
         assert!(line.contains("\"class.local.p99_ns\":360"));
+    }
+
+    #[test]
+    fn negative_zero_and_non_finite_numbers_write_zero() {
+        let mut rec = sample();
+        rec.ipc = -0.0;
+        rec.amat_ns = f64::NAN;
+        let line = rec.to_json_line();
+        assert!(line.contains("\"ipc\":0,\"amat_ns\":0,"), "{line}");
+        let parsed = RunRecord::from_json_line(&line).expect("line parses");
+        assert_eq!(parsed.amat_ns, 0.0);
+        assert_eq!(parsed.to_json_line(), line);
     }
 
     #[test]

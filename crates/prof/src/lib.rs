@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 mod clock;
-pub mod json;
 mod report;
 mod scope;
 mod site;

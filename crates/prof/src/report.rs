@@ -13,6 +13,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use starnuma_types::json::{write_str, Value};
+
 use crate::site::Site;
 
 /// One attribution edge: inclusive time and call count for `site` while
@@ -196,29 +198,26 @@ impl ProfReport {
         out
     }
 
-    /// Serialize as schema-versioned `profile.json`.
+    /// Serialize as schema-versioned `profile.json`, indented with one
+    /// edge per line; strings go through the shared JSON writer.
     pub fn to_json(&self, command: &str, wall_ns: u64) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"command\": \"{}\",", escape(command));
-        let _ = writeln!(out, "  \"wall_ns\": {wall_ns},");
+        out.push_str("{\n  \"schema_version\": 1,\n  \"command\": ");
+        write_str(&mut out, command);
+        let _ = writeln!(out, ",\n  \"wall_ns\": {wall_ns},");
         let _ = writeln!(out, "  \"attributed_ns\": {},", self.attributed_ns());
         out.push_str("  \"phases\": [\n");
         for (pi, phase) in self.phases.iter().enumerate() {
             let _ = writeln!(out, "    {{ \"key\": {}, \"edges\": [", phase.key);
             for (ei, e) in phase.edges.iter().enumerate() {
-                let parent = match e.parent {
-                    Some(p) => format!("\"{}\"", p.label()),
-                    None => "null".to_string(),
-                };
-                let _ = write!(
-                    out,
-                    "      {{ \"site\": \"{}\", \"parent\": {parent}, \"ns\": {}, \"calls\": {} }}",
-                    e.site.label(),
-                    e.ns,
-                    e.calls
-                );
+                out.push_str("      { \"site\": ");
+                write_str(&mut out, e.site.label());
+                out.push_str(", \"parent\": ");
+                match e.parent {
+                    Some(p) => write_str(&mut out, p.label()),
+                    None => out.push_str("null"),
+                }
+                let _ = write!(out, ", \"ns\": {}, \"calls\": {} }}", e.ns, e.calls);
                 out.push_str(if ei + 1 < phase.edges.len() {
                     ",\n"
                 } else {
@@ -239,64 +238,36 @@ impl ProfReport {
     /// Parse a `profile.json` written by [`ProfReport::to_json`]. Returns
     /// `None` on malformed input or an unknown schema version.
     pub fn from_json(text: &str) -> Option<SavedProfile> {
-        let value = crate::json::parse(text)?;
-        let obj = value.as_object()?;
-        let schema = get(obj, "schema_version")?.as_num()?;
-        if schema != 1.0 {
+        let doc = Value::parse(text)?;
+        if doc.get("schema_version")?.as_num()? != 1.0 {
             return None;
         }
-        let command = get(obj, "command")?.as_str()?.to_string();
-        let wall_ns = get(obj, "wall_ns")?.as_num()? as u64;
         let mut phases = Vec::new();
-        for phase_val in get(obj, "phases")?.as_array()? {
-            let pobj = phase_val.as_object()?;
-            let key = get(pobj, "key")?.as_num()? as u32;
+        for phase in doc.get("phases")?.as_arr()? {
             let mut edges = Vec::new();
-            for edge_val in get(pobj, "edges")?.as_array()? {
-                let eobj = edge_val.as_object()?;
-                let site = Site::from_label(get(eobj, "site")?.as_str()?)?;
-                let parent = match get(eobj, "parent")? {
-                    crate::json::JsonVal::Null => None,
+            for edge in phase.get("edges")?.as_arr()? {
+                let parent = match edge.get("parent")? {
+                    Value::Null => None,
                     other => Some(Site::from_label(other.as_str()?)?),
                 };
                 edges.push(ProfEdge {
-                    site,
+                    site: Site::from_label(edge.get("site")?.as_str()?)?,
                     parent,
-                    ns: get(eobj, "ns")?.as_num()? as u64,
-                    calls: get(eobj, "calls")?.as_num()? as u64,
+                    ns: edge.get("ns")?.as_num()? as u64,
+                    calls: edge.get("calls")?.as_num()? as u64,
                 });
             }
-            phases.push(PhaseProfile { key, edges });
+            phases.push(PhaseProfile {
+                key: phase.get("key")?.as_num()? as u32,
+                edges,
+            });
         }
         Some(SavedProfile {
-            command,
-            wall_ns,
+            command: doc.get("command")?.as_str()?.to_string(),
+            wall_ns: doc.get("wall_ns")?.as_num()? as u64,
             report: ProfReport { phases },
         })
     }
-}
-
-fn get<'a>(
-    obj: &'a [(String, crate::json::JsonVal)],
-    key: &str,
-) -> Option<&'a crate::json::JsonVal> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn children_ns(merged: &[ProfEdge], site: Site) -> u64 {
@@ -453,6 +424,15 @@ mod tests {
         assert_eq!(saved.command, "run --workload bfs");
         assert_eq!(saved.wall_ns, 20_000);
         assert_eq!(saved.report, report);
+
+        // The command line goes through the shared string escaper.
+        let json = report.to_json("run \"a\\b\"\r\t", 1);
+        assert!(
+            json.contains("\"command\": \"run \\\"a\\\\b\\\"\\r\\t\","),
+            "{json}"
+        );
+        let saved = ProfReport::from_json(&json).map(|s| s.command);
+        assert_eq!(saved.as_deref(), Some("run \"a\\b\"\r\t"));
     }
 
     #[test]

@@ -25,6 +25,8 @@
 
 use core::fmt;
 
+use crate::json::{obj, Value};
+
 /// How serious a diagnostic is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
@@ -97,16 +99,16 @@ impl Diagnostic {
         self.severity == Severity::Error
     }
 
-    /// Renders the diagnostic as one JSON object (no external serializer).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"message\":\"{}\",\"hint\":\"{}\"}}",
-            json_escape(self.code),
-            self.severity,
-            json_escape(&self.location),
-            json_escape(&self.message),
-            json_escape(&self.hint),
-        )
+    /// The diagnostic as a JSON object: `code`, `severity`, `location`,
+    /// `message`, `hint`, in that order.
+    pub fn to_value(&self) -> Value {
+        obj([
+            ("code", self.code.into()),
+            ("severity", self.severity.to_string().into()),
+            ("location", self.location.as_str().into()),
+            ("message", self.message.as_str().into()),
+            ("hint", self.hint.as_str().into()),
+        ])
     }
 }
 
@@ -118,25 +120,6 @@ impl fmt::Display for Diagnostic {
             self.severity, self.code, self.location, self.message, self.hint
         )
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -167,7 +150,7 @@ mod tests {
     #[test]
     fn json_is_escaped() {
         let d = Diagnostic::error("SN001", "a\"b", "line\nbreak", "tab\there");
-        let j = d.to_json();
+        let j = d.to_value().render();
         assert!(j.contains("a\\\"b"));
         assert!(j.contains("line\\nbreak"));
         assert!(j.contains("tab\\there"));

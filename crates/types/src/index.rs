@@ -145,7 +145,7 @@ impl DetKey for ChassisId {
 
 /// A deterministic open-addressing hash map with insertion-order iteration.
 ///
-/// See the [module docs](self) for the design contract. Not a drop-in
+/// The `index.rs` module docs give the design contract. Not a drop-in
 /// `HashMap` replacement: the API is the subset the simulator's hot paths
 /// use, and keys must implement [`DetKey`].
 #[derive(Clone, Debug)]

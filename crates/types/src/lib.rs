@@ -26,11 +26,12 @@ mod digest;
 mod error;
 mod ids;
 mod index;
+pub mod json;
 mod rng;
 mod units;
 
 pub use access::{AccessType, MemAccess, RwMix};
-pub use diag::{json_escape, Diagnostic, Severity};
+pub use diag::{Diagnostic, Severity};
 pub use digest::{digest_hex, fnv1a, fnv1a_digest, parse_digest_hex, FNV_OFFSET, FNV_PRIME};
 pub use error::{ConfigError, StarNumaError};
 pub use ids::{BlockAddr, ChassisId, CoreId, Location, PageId, PhysAddr, RegionId, SocketId};

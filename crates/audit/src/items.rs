@@ -3,18 +3,16 @@
 //! The lexer gives an exact token sequence; this module walks it once and
 //! records the facts the dataflow lints need: `use` edges, fn items with
 //! their call sites and iteration sites, `DetMap`-typed bindings, float
-//! accumulators in loops, and the suppression markers. Facts are designed
-//! to be (de)serializable via [`starnuma_types::json`] so the incremental
-//! cache can skip re-lexing unchanged files while still running
-//! whole-workspace graph passes.
+//! accumulators in loops, and the suppression markers. The workspace
+//! driver lexes each file once and hands the same tokens to this walk and
+//! to the per-line source pass; the facts then feed the whole-workspace
+//! graph passes.
 //!
 //! This is deliberately not a full parser. It tracks brace depth, gulps
 //! attributes / `use` statements / fn headers wholesale so their internal
 //! punctuation cannot confuse the depth tracker, and pattern-matches the
 //! handful of shapes the lints care about. Unknown constructs fall through
 //! harmlessly.
-
-use starnuma_types::json::{obj, Value};
 
 use crate::lexer::{allow_lines, comment_lines_containing, Token, TokenKind};
 
@@ -138,8 +136,9 @@ impl FileFacts {
 
 /// Extracts [`FileFacts`] from a lexed file.
 pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Token]) -> FileFacts {
-    let sig: Vec<&Token> = tokens
+    let sig: Vec<Token> = tokens
         .iter()
+        .copied()
         .filter(|t| {
             !matches!(
                 t.kind,
@@ -172,7 +171,7 @@ pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Toke
     let mut i = 0usize;
     while i < sig.len() {
         let t = sig[i];
-        let text = t.text.as_str();
+        let text = t.text;
         match t.kind {
             TokenKind::Punct => match text {
                 "{" => {
@@ -228,7 +227,7 @@ pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Toke
                     let mut j = i + 1;
                     let mut buf = String::new();
                     while j < sig.len() && sig[j].text != ";" {
-                        buf.push_str(&sig[j].text);
+                        buf.push_str(sig[j].text);
                         j += 1;
                     }
                     facts.uses.push(UseFact { line, path: buf });
@@ -296,7 +295,7 @@ pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Toke
 /// Gulps a `#[…]` / `#![…]` attribute starting at the `#`; sets
 /// `pending_test_attr` for `#[test]` and `#[cfg(test)]`. Returns the index
 /// past the closing `]`.
-fn gulp_attribute(sig: &[&Token], start: usize, pending_test_attr: &mut bool) -> usize {
+fn gulp_attribute(sig: &[Token], start: usize, pending_test_attr: &mut bool) -> usize {
     let mut j = start + 1;
     if sig.get(j).is_some_and(|t| t.text == "!") {
         j += 1;
@@ -307,7 +306,7 @@ fn gulp_attribute(sig: &[&Token], start: usize, pending_test_attr: &mut bool) ->
     let body_start = j + 1;
     let mut depth = 0i64;
     while let Some(t) = sig.get(j) {
-        match t.text.as_str() {
+        match t.text {
             "[" => depth += 1,
             "]" => {
                 depth -= 1;
@@ -334,7 +333,7 @@ fn gulp_attribute(sig: &[&Token], start: usize, pending_test_attr: &mut bool) ->
 /// `{`, recording calls and (for `for` loops) the iteration site. Returns
 /// the index of the body `{` so the caller's `awaiting_loop_brace` fires.
 fn gulp_loop_header(
-    sig: &[&Token],
+    sig: &[Token],
     start: usize,
     for_line: Option<usize>,
     facts: &mut FileFacts,
@@ -344,7 +343,7 @@ fn gulp_loop_header(
     let mut paren = 0i64;
     let mut in_at: Option<usize> = None;
     while let Some(t) = sig.get(j) {
-        match t.text.as_str() {
+        match t.text {
             "(" | "[" => paren += 1,
             ")" | "]" => paren -= 1,
             "{" if paren == 0 => break,
@@ -360,7 +359,7 @@ fn gulp_loop_header(
     while k + 1 < j {
         if sig[k].kind == TokenKind::Ident && sig[k + 1].text == "(" {
             if let Some(f) = cur_fn {
-                facts.fns[f].calls.push(sig[k].text.clone());
+                facts.fns[f].calls.push(sig[k].text.to_string());
             }
         }
         k += 1;
@@ -372,14 +371,14 @@ fn gulp_loop_header(
         let mut recv = String::new();
         for (k, t) in expr.iter().enumerate() {
             if t.kind == TokenKind::Ident
-                && ITER_METHODS.contains(&t.text.as_str())
+                && ITER_METHODS.contains(&t.text)
                 && expr.get(k + 1).is_some_and(|n| n.text == "(")
                 && k >= 1
                 && expr[k - 1].text == "."
             {
-                method = t.text.clone();
+                method = t.text.to_string();
                 if k >= 2 && expr[k - 2].kind == TokenKind::Ident {
-                    recv = expr[k - 2].text.clone();
+                    recv = expr[k - 2].text.to_string();
                 }
                 break;
             }
@@ -389,7 +388,7 @@ fn gulp_loop_header(
             // identifier of the path not itself being called.
             for (k, t) in expr.iter().enumerate() {
                 if t.kind == TokenKind::Ident && expr.get(k + 1).is_none_or(|n| n.text != "(") {
-                    recv = t.text.clone();
+                    recv = t.text.to_string();
                 }
             }
         }
@@ -407,7 +406,7 @@ fn gulp_loop_header(
 /// where clause. Pushes the new fn and, when a body opens, enters it.
 /// Returns the index past the body `{` or the `;`.
 fn parse_fn_header(
-    sig: &[&Token],
+    sig: &[Token],
     fn_idx_tok: usize,
     facts: &mut FileFacts,
     fn_stack: &mut Vec<(usize, i64)>,
@@ -419,14 +418,14 @@ fn parse_fn_header(
     let name = sig
         .get(j)
         .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.clone())
+        .map(|t| t.text.to_string())
         .unwrap_or_default();
     j += 1;
     let is_pub = {
         let mut k = fn_idx_tok;
         // Skip qualifiers between the visibility and `fn`.
         while k >= 1
-            && (matches!(sig[k - 1].text.as_str(), "const" | "async" | "extern")
+            && (matches!(sig[k - 1].text, "const" | "async" | "extern")
                 || sig[k - 1].kind == TokenKind::Str)
         {
             k -= 1;
@@ -437,7 +436,7 @@ fn parse_fn_header(
     if sig.get(j).is_some_and(|t| t.text == "<") {
         let mut angle = 0i64;
         while let Some(t) = sig.get(j) {
-            match t.text.as_str() {
+            match t.text {
                 "<" => angle += 1,
                 ">" => {
                     angle -= 1;
@@ -456,7 +455,7 @@ fn parse_fn_header(
     if sig.get(j).is_some_and(|t| t.text == "(") {
         let mut paren = 0i64;
         while let Some(t) = sig.get(j) {
-            match t.text.as_str() {
+            match t.text {
                 "(" => paren += 1,
                 ")" => {
                     paren -= 1;
@@ -471,7 +470,8 @@ fn parse_fn_header(
         }
     }
     let mut det_locals = Vec::new();
-    let params = &sig[params_start..j.min(sig.len())];
+    // A file may end inside the header (`pub fn` at EOF): clamp both ends.
+    let params = &sig[params_start.min(sig.len())..j.min(sig.len())];
     for (k, t) in params.iter().enumerate() {
         if t.text == "DetMap" {
             if let Some(n) = det_name_before(params, k) {
@@ -485,7 +485,7 @@ fn parse_fn_header(
         j += 1;
         let (mut a, mut p) = (0i64, 0i64);
         while let Some(t) = sig.get(j) {
-            match t.text.as_str() {
+            match t.text {
                 "{" | ";" | "where" if a == 0 && p == 0 => break,
                 "<" => a += 1,
                 ">" => a -= 1,
@@ -496,7 +496,7 @@ fn parse_fn_header(
             if !ret.is_empty() && t.kind == TokenKind::Ident {
                 ret.push(' ');
             }
-            ret.push_str(&t.text);
+            ret.push_str(t.text);
             j += 1;
         }
     }
@@ -514,7 +514,7 @@ fn parse_fn_header(
         in_test,
         ..FnFact::default()
     });
-    match sig.get(j).map(|t| t.text.as_str()) {
+    match sig.get(j).map(|t| t.text) {
         Some("{") => {
             fn_stack.push((fn_idx, *depth + 1));
             *depth += 1;
@@ -527,20 +527,20 @@ fn parse_fn_header(
 
 /// Walks back from a `DetMap` token over its path (`a::b::DetMap`) and
 /// `&`/`mut`, expecting `name :` or `name =`; returns the bound name.
-fn det_name_before(sig: &[&Token], det_at: usize) -> Option<String> {
+fn det_name_before(sig: &[Token], det_at: usize) -> Option<String> {
     let mut j = det_at.checked_sub(1)?;
     while sig[j].text == "::" {
         j = j.checked_sub(2)?;
     }
-    while matches!(sig[j].text.as_str(), "&" | "mut") {
+    while matches!(sig[j].text, "&" | "mut") {
         j = j.checked_sub(1)?;
     }
-    if !matches!(sig[j].text.as_str(), ":" | "=") {
+    if !matches!(sig[j].text, ":" | "=") {
         return None;
     }
     let name_tok = sig.get(j.checked_sub(1)?)?;
     if name_tok.kind == TokenKind::Ident {
-        Some(name_tok.text.clone())
+        Some(name_tok.text.to_string())
     } else {
         None
     }
@@ -548,7 +548,7 @@ fn det_name_before(sig: &[&Token], det_at: usize) -> Option<String> {
 
 /// Records a `DetMap`-typed binding at file level or fn level.
 fn record_det_binding(
-    sig: &[&Token],
+    sig: &[Token],
     det_at: usize,
     fn_stack: &[(usize, i64)],
     facts: &mut FileFacts,
@@ -567,7 +567,7 @@ fn record_det_binding(
 
 /// Records `let mut name = <float zero>` / `let mut name: f64` locals.
 fn record_float_local(
-    sig: &[&Token],
+    sig: &[Token],
     let_at: usize,
     fn_stack: &[(usize, i64)],
     float_locals: &mut Vec<(usize, String)>,
@@ -581,7 +581,7 @@ fn record_float_local(
     let Some(name) = sig
         .get(let_at + 2)
         .filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.clone())
+        .map(|t| t.text.to_string())
     else {
         return;
     };
@@ -593,7 +593,7 @@ fn record_float_local(
             if t.text == "=" || t.text == ";" {
                 break;
             }
-            if matches!(t.text.as_str(), "f64" | "f32") {
+            if matches!(t.text, "f64" | "f32") {
                 is_float = true;
             }
             k += 1;
@@ -616,7 +616,7 @@ fn record_float_local(
 /// Handles a generic identifier in a body: call sites, explicit iteration
 /// calls, and float `+=` accumulations inside loops.
 fn scan_body_ident(
-    sig: &[&Token],
+    sig: &[Token],
     i: usize,
     fn_stack: &[(usize, i64)],
     loop_depths: &[i64],
@@ -627,21 +627,21 @@ fn scan_body_ident(
         return;
     };
     let t = sig[i];
-    let next = sig.get(i + 1).map(|n| n.text.as_str());
+    let next = sig.get(i + 1).map(|n| n.text);
     let called =
         next == Some("(") || (next == Some("!") && sig.get(i + 2).is_some_and(|n| n.text == "("));
     if called {
-        facts.fns[f].calls.push(t.text.clone());
-        if ITER_METHODS.contains(&t.text.as_str()) && i >= 1 && sig[i - 1].text == "." {
+        facts.fns[f].calls.push(t.text.to_string());
+        if ITER_METHODS.contains(&t.text) && i >= 1 && sig[i - 1].text == "." {
             let recv = sig
                 .get(i.wrapping_sub(2))
                 .filter(|r| r.kind == TokenKind::Ident)
-                .map(|r| r.text.clone())
+                .map(|r| r.text.to_string())
                 .unwrap_or_default();
             facts.fns[f].iterations.push(IterFact {
                 line: t.line,
                 recv,
-                method: t.text.clone(),
+                method: t.text.to_string(),
             });
         }
         return;
@@ -651,173 +651,10 @@ fn scan_body_ident(
         && float_locals.iter().any(|(ff, n)| *ff == f && *n == t.text)
     {
         facts.fns[f].accums.push(AccumFact {
-            name: t.text.clone(),
+            name: t.text.to_string(),
             line: t.line,
         });
     }
-}
-
-// ---------------------------------------------------------------------
-// Cache (de)serialization.
-// ---------------------------------------------------------------------
-
-fn arr_of_strings(items: &[String]) -> Value {
-    Value::Arr(items.iter().map(|s| s.clone().into()).collect())
-}
-
-fn strings_of_arr(v: Option<&Value>) -> Vec<String> {
-    v.and_then(Value::as_arr)
-        .map(|a| {
-            a.iter()
-                .filter_map(|x| x.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-impl FileFacts {
-    /// Serializes the facts for the incremental cache.
-    pub fn to_json(&self) -> Value {
-        obj([
-            ("path", self.path.clone().into()),
-            ("crate", self.crate_name.clone().into()),
-            ("root", Value::Bool(self.is_crate_root)),
-            (
-                "uses",
-                Value::Arr(
-                    self.uses
-                        .iter()
-                        .map(|u| {
-                            obj([
-                                ("line", Value::Num(u.line as f64)),
-                                ("path", u.path.clone().into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("det", arr_of_strings(&self.det_idents)),
-            ("fns", Value::Arr(self.fns.iter().map(fn_to_json).collect())),
-            (
-                "allows",
-                Value::Arr(
-                    self.allows
-                        .iter()
-                        .map(|(l, c)| Value::Arr(vec![Value::Num(*l as f64), c.clone().into()]))
-                        .collect(),
-                ),
-            ),
-            (
-                "canon",
-                Value::Arr(
-                    self.canonical_lines
-                        .iter()
-                        .map(|l| Value::Num(*l as f64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes facts from the incremental cache; `None` on any shape
-    /// mismatch (a stale cache must read as absent).
-    pub fn from_json(v: &Value) -> Option<FileFacts> {
-        let mut facts = FileFacts {
-            path: v.get("path")?.as_str()?.to_string(),
-            crate_name: v.get("crate")?.as_str()?.to_string(),
-            is_crate_root: matches!(v.get("root"), Some(Value::Bool(true))),
-            det_idents: strings_of_arr(v.get("det")),
-            ..FileFacts::default()
-        };
-        for u in v.get("uses")?.as_arr()? {
-            facts.uses.push(UseFact {
-                line: u.get("line")?.as_num()? as usize,
-                path: u.get("path")?.as_str()?.to_string(),
-            });
-        }
-        for f in v.get("fns")?.as_arr()? {
-            facts.fns.push(fn_from_json(f)?);
-        }
-        for a in v.get("allows")?.as_arr()? {
-            let pair = a.as_arr()?;
-            facts.allows.push((
-                pair.first()?.as_num()? as usize,
-                pair.get(1)?.as_str()?.to_string(),
-            ));
-        }
-        for l in v.get("canon")?.as_arr()? {
-            facts.canonical_lines.push(l.as_num()? as usize);
-        }
-        Some(facts)
-    }
-}
-
-fn fn_to_json(f: &FnFact) -> Value {
-    obj([
-        ("name", f.name.clone().into()),
-        ("line", Value::Num(f.line as f64)),
-        ("pub", Value::Bool(f.is_pub)),
-        ("ret", f.ret.clone().into()),
-        ("calls", arr_of_strings(&f.calls)),
-        (
-            "iters",
-            Value::Arr(
-                f.iterations
-                    .iter()
-                    .map(|it| {
-                        obj([
-                            ("line", Value::Num(it.line as f64)),
-                            ("recv", it.recv.clone().into()),
-                            ("method", it.method.clone().into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "accums",
-            Value::Arr(
-                f.accums
-                    .iter()
-                    .map(|a| {
-                        obj([
-                            ("name", a.name.clone().into()),
-                            ("line", Value::Num(a.line as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("det", arr_of_strings(&f.det_locals)),
-        ("test", Value::Bool(f.in_test)),
-    ])
-}
-
-fn fn_from_json(v: &Value) -> Option<FnFact> {
-    let mut f = FnFact {
-        name: v.get("name")?.as_str()?.to_string(),
-        line: v.get("line")?.as_num()? as usize,
-        is_pub: matches!(v.get("pub"), Some(Value::Bool(true))),
-        ret: v.get("ret")?.as_str()?.to_string(),
-        calls: strings_of_arr(v.get("calls")),
-        det_locals: strings_of_arr(v.get("det")),
-        in_test: matches!(v.get("test"), Some(Value::Bool(true))),
-        ..FnFact::default()
-    };
-    for it in v.get("iters")?.as_arr()? {
-        f.iterations.push(IterFact {
-            line: it.get("line")?.as_num()? as usize,
-            recv: it.get("recv")?.as_str()?.to_string(),
-            method: it.get("method")?.as_str()?.to_string(),
-        });
-    }
-    for a in v.get("accums")?.as_arr()? {
-        f.accums.push(AccumFact {
-            name: a.get("name")?.as_str()?.to_string(),
-            line: a.get("line")?.as_num()? as usize,
-        });
-    }
-    Some(f)
 }
 
 #[cfg(test)]
@@ -904,13 +741,22 @@ mod tests {
     }
 
     #[test]
-    fn allows_and_canonical_lines_round_trip_through_json() {
+    fn allows_and_canonical_lines_are_extracted() {
         let src = "// audit:allow(SN007)\nfn f(xs: &[f64]) -> f64 {\n    // canonical order: sorted by id\n    let mut t = 0.0;\n    for x in xs {\n        t += x;\n    }\n    t\n}\n";
         let f = facts_of(src);
         assert_eq!(f.allows, vec![(1, "SN007".to_string())]);
         assert_eq!(f.canonical_lines, vec![3]);
-        let back = FileFacts::from_json(&f.to_json()).unwrap();
-        assert_eq!(back, f);
+    }
+
+    /// Regression: a file ending in `fn` or `pub fn` once sliced the
+    /// token list past its end and panicked.
+    #[test]
+    fn fn_header_at_end_of_file_does_not_panic() {
+        for (src, name) in [("fn", ""), ("pub fn", ""), ("fn f", "f")] {
+            let f = facts_of(src);
+            assert_eq!(f.fns.len(), 1, "one fn fact for {src:?}");
+            assert_eq!(f.fns[0].name, name, "name for {src:?}");
+        }
     }
 
     #[test]

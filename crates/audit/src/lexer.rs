@@ -44,19 +44,19 @@ pub enum TokenKind {
     Punct,
 }
 
-/// One lexed token: kind, exact source text, and the 1-based line its
-/// first character sits on.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+/// One lexed token: kind, exact source text (borrowed from the lexed
+/// source), and the 1-based line its first character sits on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token's classification.
     pub kind: TokenKind,
     /// The exact source text (round-trips by concatenation).
-    pub text: String,
+    pub text: &'a str,
     /// 1-based line of the token's first character.
     pub line: usize,
 }
 
-impl Token {
+impl Token<'_> {
     /// How many newlines the token spans (0 for single-line tokens).
     pub fn newlines(&self) -> usize {
         self.text.bytes().filter(|&b| b == b'\n').count()
@@ -65,7 +65,7 @@ impl Token {
 
 /// Tokenizes `source` completely. Infallible: malformed trailing
 /// constructs become a final token of the kind that opened them.
-pub fn lex(source: &str) -> Vec<Token> {
+pub fn lex(source: &str) -> Vec<Token<'_>> {
     Lexer {
         src: source,
         bytes: source.as_bytes(),
@@ -81,16 +81,16 @@ struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: usize,
-    out: Vec<Token>,
+    out: Vec<Token<'a>>,
 }
 
-impl Lexer<'_> {
-    fn run(mut self) -> Vec<Token> {
+impl<'a> Lexer<'a> {
+    fn run(mut self) -> Vec<Token<'a>> {
         while self.pos < self.bytes.len() {
             let start = self.pos;
             let line = self.line;
             let kind = self.next_kind();
-            let text = self.src[start..self.pos].to_string();
+            let text = &self.src[start..self.pos];
             self.line += text.bytes().filter(|&b| b == b'\n').count();
             self.out.push(Token { kind, text, line });
         }
@@ -358,7 +358,7 @@ pub fn code_lines(source: &str, tokens: &[Token]) -> Vec<String> {
             }
             _ => {
                 if let Some(l) = lines.get_mut(line) {
-                    l.push_str(&t.text);
+                    l.push_str(t.text);
                 }
             }
         }
@@ -377,7 +377,7 @@ pub fn allow_lines(tokens: &[Token]) -> Vec<(usize, String)> {
         if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
             continue;
         }
-        let mut rest = t.text.as_str();
+        let mut rest = t.text;
         while let Some(pos) = rest.find("audit:allow(") {
             rest = &rest[pos + "audit:allow(".len()..];
             if let Some(end) = rest.find(')') {
@@ -408,7 +408,7 @@ mod tests {
     use super::*;
 
     fn concat(tokens: &[Token]) -> String {
-        tokens.iter().map(|t| t.text.as_str()).collect()
+        tokens.iter().map(|t| t.text).collect()
     }
 
     #[test]
@@ -426,7 +426,7 @@ mod tests {
         let idents: Vec<&str> = tokens
             .iter()
             .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text.as_str())
+            .map(|t| t.text)
             .collect();
         assert_eq!(idents, ["a", "b"]);
     }

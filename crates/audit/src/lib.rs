@@ -30,8 +30,9 @@
 //!   - **SN011** — no keyed `sort_unstable` (ties reorder freely);
 //!   - **SN012** — `Cargo.toml` drift: non-workspace dependencies,
 //!     bin roots without `forbid(unsafe_code)`.
-//! * **Workflow** ([`workspace`], [`baseline`], [`cache`], [`sarif`],
-//!   [`fixes`]): an incremental digest-keyed cache, a checked-in
+//! * **Workflow** ([`workspace`], [`baseline`], [`sarif`], [`fixes`]): a
+//!   stateless driver that lexes each file once and shares the tokens
+//!   between the source pass and fact extraction, a checked-in
 //!   suppression baseline, SARIF 2.1.0 emission for CI, and safe
 //!   auto-fixes.
 //!
@@ -56,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod cache;
 pub mod fixes;
 pub mod graph;
 pub mod items;
@@ -72,4 +72,4 @@ pub use lints::source::lint_source;
 pub use lints::{println_exempt, wallclock_exempt};
 pub use report::{render_human, render_json, render_json_report, REPORT_SCHEMA_VERSION};
 pub use sarif::render_sarif;
-pub use workspace::{lint_workspace, lint_workspace_with, LintOptions, LintOutcome};
+pub use workspace::{lint_workspace, LintOutcome};

@@ -4,8 +4,8 @@
 //! These need cross-file context a per-line pass cannot have: whether a
 //! fn sits on a merge/export boundary (call edges), whether an iterated
 //! identifier holds a `DetMap` (field/local/param facts), whether a pub
-//! fn's return order is ever canonicalized. They re-run on every lint —
-//! the facts are already extracted, so the pass is a cheap walk.
+//! fn's return order is ever canonicalized. The facts are already
+//! extracted, so the pass is a cheap walk.
 
 use starnuma_types::Diagnostic;
 

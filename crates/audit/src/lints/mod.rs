@@ -3,11 +3,10 @@
 //! Three layers, in the order the driver runs them:
 //!
 //! * [`source`] — per-line token lints over one file (SN001–SN005 plus the
-//!   new SN008/SN009/SN011). Pure per-file, so their findings are safe to
-//!   cache by file digest.
+//!   new SN008/SN009/SN011). Pure per-file.
 //! * [`dataflow`] — whole-workspace passes over the item graph
-//!   (SN006/SN007/SN010). Cheap once facts exist; always re-run.
-//! * [`manifest`] — `Cargo.toml` drift checks (SN012). Always re-run.
+//!   (SN006/SN007/SN010). Cheap once facts exist.
+//! * [`manifest`] — `Cargo.toml` drift checks (SN012).
 //!
 //! Crate-level scoping (which crates a rule applies to) lives here so the
 //! driver and the tests agree on one source of truth.

@@ -3,13 +3,12 @@
 //! These run over the lexer's reconstructed *code lines* — comments gone,
 //! string/char contents blanked — so a forbidden token can never fire from
 //! inside text, no matter how many lines the literal or comment spans.
-//! The pass stays line-shaped on purpose: findings are cheap to cache per
-//! file, and the brace-depth `#[cfg(test)]` skip from the original
-//! scanner ports over unchanged.
+//! The pass stays line-shaped on purpose: the brace-depth `#[cfg(test)]`
+//! skip from the original scanner ports over unchanged.
 
 use starnuma_types::Diagnostic;
 
-use crate::lexer::{allow_lines, code_lines, lex};
+use crate::lexer::{allow_lines, code_lines, lex, Token};
 
 /// Target types whose `as` casts SN009 treats as narrowing. Wider targets
 /// (`u64`, `usize`, `f64`) cannot silently truncate the workspace's
@@ -24,8 +23,19 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 /// by [`crate::lints::scope_findings`] in the driver.
 pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagnostic> {
     let tokens = lex(source);
-    let lines = code_lines(source, &tokens);
-    let allows = allow_lines(&tokens);
+    lint_tokens(label, source, &tokens, &allow_lines(&tokens), is_crate_root)
+}
+
+/// [`lint_source`] over an already-lexed file and its `audit:allow`
+/// markers, so the workspace driver lexes each file only once.
+pub(crate) fn lint_tokens(
+    label: &str,
+    source: &str,
+    tokens: &[Token],
+    allows: &[(usize, String)],
+    is_crate_root: bool,
+) -> Vec<Diagnostic> {
+    let lines = code_lines(source, tokens);
     let mut findings = Vec::new();
 
     let mut depth: i64 = 0;
@@ -71,13 +81,13 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
                 .iter()
                 .any(|(l, c)| c == rule && (*l == line_no || l + 1 == line_no))
         };
-        let loc = format!("{label}:{line_no}");
+        let loc = || format!("{label}:{line_no}");
 
         if !suppressed("SN001") {
             if code.contains(".unwrap()") {
                 findings.push(Diagnostic::error(
                     "SN001",
-                    loc.clone(),
+                    loc(),
                     "`unwrap()` in library code",
                     "return a typed StarNumaError (or mark `// audit:allow(SN001)` \
                      with a documented panic contract)",
@@ -86,7 +96,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
             if code.contains(".expect(") {
                 findings.push(Diagnostic::error(
                     "SN001",
-                    loc.clone(),
+                    loc(),
                     "`expect()` in library code",
                     "return a typed StarNumaError (or mark `// audit:allow(SN001)` \
                      with a documented panic contract)",
@@ -95,7 +105,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
             if code.contains("panic!(") {
                 findings.push(Diagnostic::error(
                     "SN001",
-                    loc.clone(),
+                    loc(),
                     "`panic!` in library code",
                     "return a typed StarNumaError (or mark `// audit:allow(SN001)` \
                      with a documented panic contract)",
@@ -110,7 +120,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
         {
             findings.push(Diagnostic::error(
                 "SN002",
-                loc.clone(),
+                loc(),
                 "wall-clock type in a simulation crate",
                 "simulated time only: derive timing from Cycles/Nanos; wall \
                  time goes through starnuma_prof::ProfClock (whose internals \
@@ -120,7 +130,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
         if !suppressed("SN003") && (code.contains("HashMap") || code.contains("HashSet")) {
             findings.push(Diagnostic::error(
                 "SN003",
-                loc.clone(),
+                loc(),
                 "hash collection in library code (iteration order is unstable)",
                 "use DetMap, BTreeMap/BTreeSet (all workspace keys are Ord), \
                  or drain through a sorted Vec",
@@ -130,7 +140,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
         if !suppressed("SN005") && code.contains("println!(") {
             findings.push(Diagnostic::error(
                 "SN005",
-                loc.clone(),
+                loc(),
                 "direct stdout/stderr print in library code",
                 "emit a structured obs event instead (or mark \
                  `// audit:allow(SN005)` for deliberate operator output)",
@@ -143,7 +153,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
         {
             findings.push(Diagnostic::error(
                 "SN008",
-                loc.clone(),
+                loc(),
                 "thread-topology read in a simulation crate",
                 "worker counts and thread ids must never reach simulated \
                  state; keep them in the scheduling layer (or mark \
@@ -154,7 +164,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
             if let Some(target) = narrowing_cast(code) {
                 findings.push(Diagnostic::error(
                     "SN009",
-                    loc.clone(),
+                    loc(),
                     format!("narrowing `as {target}` cast can silently truncate"),
                     "use `try_from` with a typed error, a lossless `::from`, \
                      or mark `// audit:allow(SN009)` with a bound argument",
@@ -166,7 +176,7 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
         {
             findings.push(Diagnostic::error(
                 "SN011",
-                loc.clone(),
+                loc(),
                 "`sort_unstable` with a key extractor (ties reorder freely)",
                 "use stable `sort_by` / `sort_by_key`, or mark \
                  `// audit:allow(SN011)` with a keys-are-unique argument",

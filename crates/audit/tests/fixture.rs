@@ -14,7 +14,9 @@ fn fixture_root() -> std::path::PathBuf {
 
 #[test]
 fn fixture_violations_are_found_with_exact_codes() {
-    let findings = lint_workspace(&fixture_root()).expect("fixture tree is readable");
+    let findings = lint_workspace(&fixture_root())
+        .expect("fixture tree is readable")
+        .findings;
     let got: Vec<(&str, &str)> = findings
         .iter()
         .map(|d| (d.location.as_str(), d.code))
@@ -49,7 +51,9 @@ fn fixture_violations_are_found_with_exact_codes() {
 
 #[test]
 fn every_rule_fires_in_the_fixture() {
-    let findings = lint_workspace(&fixture_root()).expect("fixture tree is readable");
+    let findings = lint_workspace(&fixture_root())
+        .expect("fixture tree is readable")
+        .findings;
     let mut codes: Vec<&str> = findings.iter().map(|d| d.code).collect();
     codes.sort_unstable();
     codes.dedup();
@@ -64,7 +68,9 @@ fn every_rule_fires_in_the_fixture() {
 
 #[test]
 fn comments_strings_and_scoping_exemptions_hold() {
-    let findings = lint_workspace(&fixture_root()).expect("fixture tree is readable");
+    let findings = lint_workspace(&fixture_root())
+        .expect("fixture tree is readable")
+        .findings;
     // The allow-marked ProfClock-style Instant field (line 30), the
     // `InstantLike` identifiers (lines 33/35), the allow-marked unwrap
     // (line 41), and the test-module unwrap must not be reported — nor may
@@ -109,7 +115,9 @@ fn a_sourceless_root_is_an_error_not_a_clean_scan() {
 
 #[test]
 fn renderers_cover_every_finding() {
-    let findings = lint_workspace(&fixture_root()).expect("fixture tree is readable");
+    let findings = lint_workspace(&fixture_root())
+        .expect("fixture tree is readable")
+        .findings;
     let human = render_human(&findings);
     assert!(human.contains("18 finding(s)"), "summary in: {human}");
     assert!(human.contains("error[SN004]"));
@@ -121,7 +129,9 @@ fn renderers_cover_every_finding() {
 
 #[test]
 fn a_baseline_built_from_the_fixture_suppresses_it_completely() {
-    let findings = lint_workspace(&fixture_root()).expect("fixture tree is readable");
+    let findings = lint_workspace(&fixture_root())
+        .expect("fixture tree is readable")
+        .findings;
     let baseline = Baseline::from_findings(&findings);
     let (remaining, suppressed) = baseline.apply(findings);
     assert!(remaining.is_empty());

@@ -1,76 +1,50 @@
-//! Lint cost: cold (empty cache) vs warm (fully cached) workspace scans.
+//! Lint cost: best-of-N full workspace scans.
 //!
-//! The incremental cache keys per-file findings and facts by content
-//! digest, so a warm re-lint should skip every source pass and pay only
-//! for file reads, the dataflow pass, and the manifest pass. This bench
-//! records both ends (`lint_cold_ms` / `lint_warm_ms`) in
+//! Every lint is a full scan (the analyzer keeps no state between runs),
+//! so one number describes it: `lint_cold_ms`, recorded in
 //! `BENCH_history.jsonl` so `starnuma bench-diff` can flag regressions —
-//! the `_ms` suffix marks lower-is-better.
+//! the `_ms` suffix marks lower-is-better. `ci/bench_baseline.json` holds
+//! its ceiling.
 //!
 //! Wall clock is allowed here (bench crate; SN002 exempts it).
 
 use std::path::Path;
 use std::time::Instant;
 
-use starnuma_audit::{lint_workspace_with, LintOptions};
+use starnuma_audit::{lint_workspace, LintOutcome};
 
 fn main() {
     starnuma_bench::banner("lint_cost", "analyzer infrastructure (no paper figure)");
     let smoke = std::env::var("STARNUMA_BENCH_SMOKE").is_ok();
-    let reps: usize = if smoke { 1 } else { 3 };
+    let reps: usize = if smoke { 3 } else { 10 };
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let cache_dir = std::env::temp_dir().join("starnuma-bench-lint-cost");
-    std::fs::create_dir_all(&cache_dir).expect("temp dir");
-    let cache_path = cache_dir.join("audit-cache.json");
-    let opts = LintOptions {
-        cache_path: Some(cache_path.clone()),
-    };
 
     // Best-of-N so a stray page-cache miss doesn't pollute the history.
     let mut cold_ms = f64::INFINITY;
-    let mut warm_ms = f64::INFINITY;
-    let mut files = 0usize;
+    let mut reference: Option<LintOutcome> = None;
     for _ in 0..reps {
-        std::fs::remove_file(&cache_path).ok();
         let start = Instant::now();
-        let cold = lint_workspace_with(&root, &opts).expect("workspace lints");
+        let outcome = lint_workspace(&root).expect("workspace lints");
         cold_ms = cold_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(cold.cache_hits, 0, "cold run must rebuild everything");
-        files = cold.files_scanned;
-
-        let start = Instant::now();
-        let warm = lint_workspace_with(&root, &opts).expect("workspace lints");
-        warm_ms = warm_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            warm.cache_hits, warm.files_scanned,
-            "warm run must be fully cached"
-        );
-        assert_eq!(
-            cold.findings, warm.findings,
-            "cache must not change findings"
-        );
+        match &reference {
+            Some(r) => assert_eq!(
+                r.findings, outcome.findings,
+                "every scan must return the same findings"
+            ),
+            None => reference = Some(outcome),
+        }
     }
-    std::fs::remove_dir_all(&cache_dir).ok();
+    let files = reference.map_or(0, |r| r.files_scanned);
 
     println!("files scanned            {files:>10}");
     println!("lint cold                {cold_ms:>10.1} ms");
-    println!("lint warm                {warm_ms:>10.1} ms");
-    println!(
-        "warm speedup             {:>10.1}x",
-        if warm_ms > 0.0 {
-            cold_ms / warm_ms
-        } else {
-            0.0
-        }
-    );
 
     starnuma_bench::append_history(
         "lint",
         smoke,
         &[
             ("lint_cold_ms".to_string(), cold_ms),
-            ("lint_warm_ms".to_string(), warm_ms),
             ("lint_files".to_string(), files as f64),
         ],
     );

@@ -38,7 +38,6 @@ const SWITCHES: &[&str] = &[
     "update-baseline",
     "fix",
     "fix-allow",
-    "no-cache",
     "strict-monitors",
     "markdown",
 ];

@@ -745,11 +745,12 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
 
 /// `starnuma lint [--root <path>] [--format human|json|sarif] [--json]
 /// [--sarif <path>] [--baseline] [--baseline-file <path>]
-/// [--update-baseline] [--fix] [--fix-allow] [--no-cache]`: runs the full
-/// SN001–SN012 analyzer over a workspace tree and exits non-zero when
-/// anything is found beyond the accepted baseline. Findings are not an
-/// `ArgError`: the invocation was fine, so no usage dump — just the
-/// report and the code.
+/// [--update-baseline] [--fix] [--fix-allow]`: runs the full SN001–SN012
+/// analyzer over a workspace tree and exits non-zero when anything is
+/// found beyond the accepted baseline. Every run is a full scan and
+/// writes only what it is asked to (`--sarif`, `--fix`,
+/// `--update-baseline`). Findings are not an `ArgError`: the invocation
+/// was fine, so no usage dump — just the report and the code.
 pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
     args.expect_only(&[
         "root",
@@ -761,7 +762,6 @@ pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
         "update-baseline",
         "fix",
         "fix-allow",
-        "no-cache",
     ])?;
     let root = std::path::PathBuf::from(args.get_or("root", "."));
     let format = match (args.switch("json"), args.get_or("format", "human")) {
@@ -774,18 +774,11 @@ pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
             )))
         }
     };
-    let opts = starnuma_audit::LintOptions {
-        cache_path: if args.switch("no-cache") {
-            None
-        } else {
-            Some(starnuma_audit::LintOptions::default_cache_path(&root))
-        },
-    };
-    let scan = |opts: &starnuma_audit::LintOptions| {
-        starnuma_audit::lint_workspace_with(&root, opts)
+    let scan = || {
+        starnuma_audit::lint_workspace(&root)
             .map_err(|e| ArgError(format!("cannot scan {}: {e}", root.display())))
     };
-    let mut outcome = scan(&opts)?;
+    let mut outcome = scan()?;
 
     // Fix flow: apply the safe rewrites, re-lint, then (with --fix-allow)
     // insert suppression markers for whatever is left and re-lint again,
@@ -799,7 +792,7 @@ pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
                 report.rewrites,
                 report.files_changed.len()
             );
-            outcome = scan(&opts)?;
+            outcome = scan()?;
         }
         if args.switch("fix-allow") && !outcome.findings.is_empty() {
             let report = starnuma_audit::apply_fixes(&root, &outcome.findings, true)
@@ -808,7 +801,7 @@ pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
                 "lint --fix-allow: {} audit:allow marker(s) inserted",
                 report.allows_inserted
             );
-            outcome = scan(&opts)?;
+            outcome = scan()?;
         }
     }
 

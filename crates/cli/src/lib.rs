@@ -12,7 +12,7 @@
 //! starnuma bench-diff <old> <new> [--tolerance 0.2]
 //! starnuma inspect  trace.jsonl [--top N] [--chrome out.json] [--profile p.json]
 //! starnuma lint     [--root .] [--format human|json|sarif] [--baseline]
-//!                   [--update-baseline] [--fix] [--fix-allow] [--no-cache]
+//!                   [--update-baseline] [--fix] [--fix-allow]
 //! ```
 //!
 //! All simulation commands accept `--scale quick|default|full`,
@@ -141,7 +141,6 @@ commands:
                                        crate-root attrs), then re-lint
               --fix-allow              afterwards, insert audit:allow
                                        markers for whatever remains
-              --no-cache               skip target/audit-cache.json
 
 common simulation flags:
   --scale quick|default|full   --phases N   --instructions N   --seed N

@@ -1,7 +1,6 @@
 //! The `starnuma lint` subcommand, exercised through the real binary so
 //! the exit-code, baseline, SARIF, and fix contracts are tested end to
-//! end. Fixture runs pass `--no-cache` so tests never write into the
-//! checked-in fixture tree.
+//! end.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,12 +21,7 @@ fn dirty_fixture() -> PathBuf {
 #[test]
 fn lint_exits_nonzero_on_the_dirty_fixture() {
     let out = starnuma()
-        .args([
-            "lint",
-            "--root",
-            dirty_fixture().to_str().expect("utf-8"),
-            "--no-cache",
-        ])
+        .args(["lint", "--root", dirty_fixture().to_str().expect("utf-8")])
         .output()
         .expect("binary runs");
     assert!(!out.status.success(), "dirty tree must fail the lint");
@@ -44,7 +38,6 @@ fn lint_json_format_emits_a_versioned_report() {
             "lint",
             "--root",
             dirty_fixture().to_str().expect("utf-8"),
-            "--no-cache",
             "--format",
             "json",
         ])
@@ -71,7 +64,6 @@ fn lint_sarif_format_and_file_output_agree() {
             "lint",
             "--root",
             dirty_fixture().to_str().expect("utf-8"),
-            "--no-cache",
             "--format",
             "sarif",
             "--sarif",
@@ -97,7 +89,6 @@ fn lint_exits_zero_on_the_workspace_itself_with_the_baseline() {
             "lint",
             "--root",
             root.to_str().expect("utf-8"),
-            "--no-cache",
             "--baseline",
         ])
         .output()
@@ -126,7 +117,6 @@ fn update_baseline_is_a_no_op_on_the_workspace() {
             "lint",
             "--root",
             root.to_str().expect("utf-8"),
-            "--no-cache",
             "--update-baseline",
             "--baseline-file",
             fresh.to_str().expect("utf-8"),
@@ -152,7 +142,6 @@ fn missing_baseline_file_fails_loudly() {
             "lint",
             "--root",
             dirty_fixture().to_str().expect("utf-8"),
-            "--no-cache",
             "--baseline-file",
             "/nonexistent/lint_baseline.json",
         ])
@@ -178,7 +167,6 @@ fn fix_converges_on_a_copy_of_the_dirty_fixture() {
             "lint",
             "--root",
             dir.to_str().expect("utf-8"),
-            "--no-cache",
             "--fix",
             "--fix-allow",
         ])
@@ -201,7 +189,6 @@ fn fix_converges_on_a_copy_of_the_dirty_fixture() {
             "lint",
             "--root",
             dir.to_str().expect("utf-8"),
-            "--no-cache",
             "--fix",
             "--fix-allow",
         ])
@@ -217,6 +204,25 @@ fn fix_converges_on_a_copy_of_the_dirty_fixture() {
         String::from_utf8_lossy(&again.stderr).is_empty(),
         "second --fix run must not rewrite: {}",
         String::from_utf8_lossy(&again.stderr)
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn lint_writes_nothing_under_the_root() {
+    let dir = std::env::temp_dir().join("starnuma-lint-cli-readonly");
+    fs::remove_dir_all(&dir).ok();
+    copy_tree(&dirty_fixture(), &dir);
+    let before = list_tree(&dir);
+    let out = starnuma()
+        .args(["lint", "--root", dir.to_str().expect("utf-8")])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "dirty tree must fail the lint");
+    assert_eq!(
+        list_tree(&dir),
+        before,
+        "a lint run must not create, remove or rename any path under its root"
     );
     fs::remove_dir_all(&dir).ok();
 }
@@ -242,4 +248,21 @@ fn copy_tree(from: &Path, to: &Path) {
             fs::copy(&src, &dst).expect("copy file");
         }
     }
+}
+
+/// Every path under `root`, relative to it and sorted.
+fn list_tree(root: &Path) -> Vec<PathBuf> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in fs::read_dir(dir).expect("read dir").filter_map(Result::ok) {
+            let path = entry.path();
+            out.push(path.strip_prefix(root).expect("under root").to_path_buf());
+            if path.is_dir() {
+                walk(root, &path, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(root, root, &mut out);
+    out.sort();
+    out
 }

@@ -30,11 +30,10 @@
 //!   - **SN011** — no keyed `sort_unstable` (ties reorder freely);
 //!   - **SN012** — `Cargo.toml` drift: non-workspace dependencies,
 //!     bin roots without `forbid(unsafe_code)`.
-//! * **Workflow** ([`workspace`], [`baseline`], [`sarif`], [`fixes`]): a
-//!   stateless driver that lexes each file once and shares the tokens
-//!   between the source pass and fact extraction, a checked-in
-//!   suppression baseline, SARIF 2.1.0 emission for CI, and safe
-//!   auto-fixes.
+//! * **Workflow** ([`workspace`], [`sarif`], [`fixes`]): a stateless
+//!   driver that lexes each file once and shares the tokens between the
+//!   source pass and fact extraction, SARIF 2.1.0 emission for CI, and
+//!   safe auto-fixes.
 //!
 //! Model validation (**SN1xx**) lives with the config types themselves:
 //! their `diagnostics()` methods report through the same
@@ -56,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod fixes;
 pub mod graph;
 pub mod items;
@@ -66,7 +64,6 @@ mod report;
 pub mod sarif;
 pub mod workspace;
 
-pub use baseline::Baseline;
 pub use fixes::{apply_fixes, FixReport};
 pub use lints::source::lint_source;
 pub use lints::{println_exempt, wallclock_exempt};

@@ -33,21 +33,15 @@ fn findings_value(findings: &[Diagnostic]) -> Value {
 }
 
 /// Schema version of the `lint --json` report object.
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
 /// Renders the versioned `lint --json` report object: the findings array
-/// plus counts the caller supplies (suppressed-by-baseline, files
-/// scanned). Callers pass findings already in stable (path, line, code)
-/// order and deduplicated.
-pub fn render_json_report(
-    findings: &[Diagnostic],
-    suppressed: usize,
-    files_scanned: usize,
-) -> String {
+/// plus the number of files scanned. Callers pass findings already in
+/// stable (path, line, code) order and deduplicated.
+pub fn render_json_report(findings: &[Diagnostic], files_scanned: usize) -> String {
     obj([
         ("schema_version", f64::from(REPORT_SCHEMA_VERSION).into()),
         ("files_scanned", (files_scanned as f64).into()),
-        ("suppressed", (suppressed as f64).into()),
         ("findings", findings_value(findings)),
     ])
     .render()
@@ -81,14 +75,13 @@ mod tests {
 
     #[test]
     fn json_report_is_versioned() {
-        let s = render_json_report(&sample(), 3, 42);
-        assert!(s.starts_with("{\"schema_version\":1,"));
+        let s = render_json_report(&sample(), 42);
+        assert!(s.starts_with("{\"schema_version\":2,"));
         assert!(s.contains("\"files_scanned\":42"));
-        assert!(s.contains("\"suppressed\":3"));
         assert!(s.contains("\"findings\":[{"));
         assert_eq!(
-            render_json_report(&[], 0, 1),
-            "{\"schema_version\":1,\"files_scanned\":1,\"suppressed\":0,\"findings\":[]}"
+            render_json_report(&[], 1),
+            "{\"schema_version\":2,\"files_scanned\":1,\"findings\":[]}"
         );
     }
 

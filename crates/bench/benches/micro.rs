@@ -91,7 +91,13 @@ fn bench_routing(iters: u64) {
         } else {
             Location::Socket(SocketId::new(rng.gen_range(0u16..16)))
         };
-        black_box(net.route(s, target));
+        let src = Location::Socket(s);
+        black_box((
+            net.leg(src, target),
+            net.leg(target, src),
+            net.latency().demand_access(s, target),
+            net.classify(s, target),
+        ));
     });
 }
 

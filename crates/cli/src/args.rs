@@ -34,8 +34,6 @@ const SWITCHES: &[&str] = &[
     "full-scale",
     "help",
     "progress",
-    "baseline",
-    "update-baseline",
     "fix",
     "fix-allow",
     "strict-monitors",

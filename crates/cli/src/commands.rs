@@ -7,20 +7,20 @@ use std::process::ExitCode;
 use std::collections::BTreeMap;
 
 use starnuma::obs::{
-    metrics_json, trace_jsonl, try_percentile_from_counts, ObsReport, RunExtras, RunMeta,
+    metrics_json, trace_jsonl, try_percentile_from_counts, ObsReport, ObsSink, RunExtras, RunMeta,
     RunRecord, SiteSummary, LEDGER_FILE, MONITOR_NAMES,
 };
 use starnuma::prof;
 use starnuma::report::run_result_json;
 use starnuma::{
-    geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunResult,
-    ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
+    geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunConfig,
+    RunResult, Runner, ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
 };
 use starnuma_migration::ReplicationConfig;
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
 use starnuma_types::json::{obj, Value};
-use starnuma_types::{digest_hex, fnv1a_digest, Location, SocketId};
+use starnuma_types::{digest_hex, fnv1a_digest, Location, SocketId, MAX_SOCKETS};
 
 use crate::args::{ArgError, Args};
 
@@ -198,16 +198,40 @@ fn enforce_monitors(args: &Args, sections: &[(RunMeta, &ObsReport)]) -> ExitCode
     }
 }
 
-/// Validates `--inject-monitor-fault NAME` against the monitor catalogue.
-fn parse_fault(args: &Args) -> Result<Option<&str>, ArgError> {
-    match args.get("inject-monitor-fault") {
-        None => Ok(None),
-        Some(name) if MONITOR_NAMES.contains(&name) => Ok(Some(name)),
-        Some(name) => Err(ArgError(format!(
-            "unknown monitor '{name}' (expected one of: {})",
-            MONITOR_NAMES.join(", ")
-        ))),
+/// Prepares a simulation command: preflights every `(workload, config)`
+/// it is about to run, so a bad run shape is a usage error listing the
+/// rendered diagnostics instead of a panic mid-fan-out, and builds the one
+/// observability sink each run records into a clone of. The sink is
+/// disabled unless [`wants_obs`], and `--inject-monitor-fault NAME`
+/// (validated against the monitor catalogue) is armed on it. Every system
+/// kind has the same socket count, so the sink sized for the first
+/// configuration fits them all.
+fn prepare(args: &Args, runs: &[(Workload, RunConfig)]) -> Result<ObsSink, ArgError> {
+    for (workload, cfg) in runs {
+        Runner::try_new(workload.profile(), cfg.clone()).map_err(|e| ArgError(e.to_string()))?;
     }
+    let fault = match args.get("inject-monitor-fault") {
+        Some(name) if !MONITOR_NAMES.contains(&name) => {
+            return Err(ArgError(format!(
+                "unknown monitor '{name}' (expected one of: {})",
+                MONITOR_NAMES.join(", ")
+            )))
+        }
+        fault => fault,
+    };
+    let mut obs = match runs.first() {
+        Some((_, cfg)) if wants_obs(args) => cfg.obs_sink(),
+        _ => return Ok(ObsSink::disabled()),
+    };
+    if let Some(monitor) = fault {
+        obs.arm_monitor_fault(monitor);
+    }
+    Ok(obs)
+}
+
+/// The fingerprint of a run configuration stamped into ledger records.
+fn config_digest(cfg: &RunConfig) -> u64 {
+    fnv1a_digest(format!("{cfg:?}").as_bytes())
 }
 
 /// The run-identity header stamped into every `--trace-out`/`--metrics-out`
@@ -299,50 +323,38 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
     let workload = parse_workload(args.require("workload")?)?;
     let system = parse_system(args.get_or("system", "starnuma"))?;
     let scale = parse_scale(args)?;
-    let observed = wants_obs(args);
-    let fault = parse_fault(args)?;
+    let experiment = Experiment::new(workload, system, scale.clone());
+    let mut cfg = experiment.run_config();
+    if let Some(frac) = args.get("replication") {
+        let frac: f64 = frac
+            .parse()
+            .map_err(|_| ArgError(format!("--replication expects a fraction, got '{frac}'")))?;
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(ArgError("--replication must be in [0, 1]".into()));
+        }
+        cfg.replication = Some(ReplicationConfig::with_budget_frac(
+            workload.profile().footprint_pages,
+            frac,
+        ));
+    }
+    let mut obs = prepare(args, &[(workload, cfg.clone())])?;
     let ledger = ledger_session(args);
-    let (result, report, config_digest) = match args.get("replication") {
-        None => {
-            let e = Experiment::new(workload, system, scale.clone());
-            let digest = fnv1a_digest(format!("{:?}", e.run_config()).as_bytes());
-            if observed {
-                let (r, rep) = e.run_observed_faulted(fault);
-                (r, Some(rep), digest)
-            } else {
-                (e.run(), None, digest)
-            }
-        }
-        Some(frac) => {
-            let frac: f64 = frac
-                .parse()
-                .map_err(|_| ArgError(format!("--replication expects a fraction, got '{frac}'")))?;
-            if !(0.0..=1.0).contains(&frac) {
-                return Err(ArgError("--replication must be in [0, 1]".into()));
-            }
-            let mut cfg = Experiment::new(workload, system, scale.clone()).run_config();
-            cfg.replication = Some(ReplicationConfig::with_budget_frac(
-                workload.profile().footprint_pages,
-                frac,
-            ));
-            let digest = fnv1a_digest(format!("{cfg:?}").as_bytes());
-            let runner = starnuma::Runner::new(workload.profile(), cfg);
-            if observed {
-                let (r, rep) = runner.run_with_obs_faulted(fault);
-                (r, Some(rep), digest)
-            } else {
-                (runner.run(), None, digest)
-            }
-        }
+    let digest = config_digest(&cfg);
+    let observed = obs.is_enabled();
+    let (result, report) = if cfg.replication.is_some() {
+        let result = Runner::new(workload.profile(), cfg).run_observed(&mut obs);
+        (result, obs.finish())
+    } else {
+        experiment.run_into(&obs)
     };
     let mut exit = ExitCode::SUCCESS;
-    if let Some(rep) = &report {
+    if observed {
         let meta = run_meta(workload.name(), system, &scale);
-        write_obs_outputs(args, &[(meta.clone(), rep)])?;
+        write_obs_outputs(args, &[(meta.clone(), &report)])?;
         if let Some(session) = ledger {
-            session.append(&[(meta.clone(), config_digest, &result, rep)])?;
+            session.append(&[(meta.clone(), digest, &result, &report)])?;
         }
-        exit = enforce_monitors(args, &[(meta, rep)]);
+        exit = enforce_monitors(args, &[(meta, &report)]);
     }
     if args.switch("json") {
         println!("{}", run_result_json(workload, system, &result).render());
@@ -408,8 +420,6 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         .map(parse_system)
         .collect::<Result<_, _>>()?;
     let scale = parse_scale(args)?;
-    let observed = wants_obs(args);
-    let ledger = ledger_session(args);
     // Fan every distinct system (plus the baseline, which anchors the
     // speedup column) out on the job pool; results are keyed for the
     // requested row order below.
@@ -419,46 +429,45 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
             distinct.push(*s);
         }
     }
-    let computed: BTreeMap<SystemKind, (RunResult, Option<ObsReport>)> = JobPool::global()
+    let configs: Vec<(Workload, RunConfig)> = distinct
+        .iter()
+        .map(|s| {
+            (
+                workload,
+                Experiment::new(workload, *s, scale.clone()).run_config(),
+            )
+        })
+        .collect();
+    let obs = prepare(args, &configs)?;
+    let ledger = ledger_session(args);
+    let computed: BTreeMap<SystemKind, (RunResult, ObsReport)> = JobPool::global()
         .run(distinct.clone(), |_, system| {
-            let e = Experiment::new(workload, system, scale.clone());
-            if observed {
-                let (r, rep) = e.run_observed();
-                (system, (r, Some(rep)))
-            } else {
-                (system, (e.run(), None))
-            }
+            let run = Experiment::new(workload, system, scale.clone()).run_into(&obs);
+            (system, run)
         })
         .into_iter()
         .collect();
     let mut exit = ExitCode::SUCCESS;
-    if observed {
+    if obs.is_enabled() {
         // One export section per distinct system, baseline first — the
         // same deterministic order the fan-out used.
         let sections: Vec<(RunMeta, &ObsReport)> = distinct
             .iter()
-            .filter_map(|s| {
-                computed[s]
-                    .1
-                    .as_ref()
-                    .map(|rep| (run_meta(workload.name(), *s, &scale), rep))
-            })
+            .map(|s| (run_meta(workload.name(), *s, &scale), &computed[s].1))
             .collect();
         write_obs_outputs(args, &sections)?;
         if let Some(session) = ledger {
             let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = distinct
                 .iter()
-                .filter_map(|s| {
+                .zip(&configs)
+                .map(|(s, (_, cfg))| {
                     let (result, rep) = &computed[s];
-                    let cfg = Experiment::new(workload, *s, scale.clone()).run_config();
-                    rep.as_ref().map(|rep| {
-                        (
-                            run_meta(workload.name(), *s, &scale),
-                            fnv1a_digest(format!("{cfg:?}").as_bytes()),
-                            result,
-                            rep,
-                        )
-                    })
+                    (
+                        run_meta(workload.name(), *s, &scale),
+                        config_digest(cfg),
+                        result,
+                        rep,
+                    )
                 })
                 .collect();
             session.append(&entries)?;
@@ -529,46 +538,41 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
             .collect::<Result<_, _>>()?,
     };
     let scale = parse_scale(args)?;
-    let observed = wants_obs(args);
+    let configs: Vec<(Workload, RunConfig)> = workloads
+        .iter()
+        .flat_map(|w| {
+            [SystemKind::Baseline, system]
+                .map(|s| (*w, Experiment::new(*w, s, scale.clone()).run_config()))
+        })
+        .collect();
+    let obs = prepare(args, &configs)?;
     let ledger = ledger_session(args);
-    // One job per workload; each job runs the system and its baseline.
-    // When observability output was requested, each job also carries back
-    // the *system* run's result and report (the baseline anchors speedups
-    // only — the ledger records the system run).
-    type SweepRow = (Workload, f64, Option<(RunResult, ObsReport)>);
-    let rows: Vec<SweepRow> = JobPool::global().run(workloads, |_, w| {
-        if observed {
-            let (speedup, sys, _, sys_report, _) =
-                starnuma::speedup_vs_baseline_observed(w, system, &scale);
-            (w, speedup, Some((sys, sys_report)))
-        } else {
-            let (speedup, _, _) = starnuma::speedup_vs_baseline(w, system, &scale);
-            (w, speedup, None)
-        }
-    });
+    // One job per workload; each job runs the system and its baseline and
+    // carries back the *system* run's result and report (the baseline
+    // anchors speedups only — the ledger records the system run).
+    let rows: Vec<(Workload, f64, (RunResult, ObsReport))> =
+        JobPool::global().run(workloads, |_, w| {
+            let (speedup, sys, _) = starnuma::speedup_vs_baseline(w, system, &scale, &obs);
+            (w, speedup, sys)
+        });
     let mut exit = ExitCode::SUCCESS;
-    if observed {
+    if obs.is_enabled() {
         let sections: Vec<(RunMeta, &ObsReport)> = rows
             .iter()
-            .filter_map(|(w, _, obs)| {
-                obs.as_ref()
-                    .map(|(_, r)| (run_meta(w.name(), system, &scale), r))
-            })
+            .map(|(w, _, (_, rep))| (run_meta(w.name(), system, &scale), rep))
             .collect();
         write_obs_outputs(args, &sections)?;
         if let Some(session) = ledger {
             let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = rows
                 .iter()
-                .filter_map(|(w, _, obs)| {
+                .map(|(w, _, (result, rep))| {
                     let cfg = Experiment::new(*w, system, scale.clone()).run_config();
-                    obs.as_ref().map(|(result, rep)| {
-                        (
-                            run_meta(w.name(), system, &scale),
-                            fnv1a_digest(format!("{cfg:?}").as_bytes()),
-                            result,
-                            rep,
-                        )
-                    })
+                    (
+                        run_meta(w.name(), system, &scale),
+                        config_digest(&cfg),
+                        result,
+                        rep,
+                    )
                 })
                 .collect();
             session.append(&entries)?;
@@ -689,6 +693,9 @@ pub fn cmd_workloads(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// Cores per socket of the traces `trace gen` writes and `trace info` bins.
+const TRACE_CORES_PER_SOCKET: usize = 4;
+
 /// `starnuma trace gen|info ...`
 pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     match args.subcommand() {
@@ -699,7 +706,12 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
             let instructions = args.get_u64("instructions", 100_000)?;
             let seed = args.get_u64("seed", 42)?;
             let sockets = args.get_u64("sockets", 16)? as usize;
-            let mut gen = TraceGenerator::new(&workload.profile(), sockets, 4, seed);
+            // The same socket-count rule every simulated system obeys.
+            SystemParams::scaled_starnuma()
+                .with_num_sockets(sockets)
+                .map_err(|e| ArgError(format!("--sockets: {e}")))?;
+            let mut gen =
+                TraceGenerator::new(&workload.profile(), sockets, TRACE_CORES_PER_SOCKET, seed);
             let phase = gen.generate_phase(instructions);
             let file =
                 File::create(out).map_err(|e| ArgError(format!("cannot create {out}: {e}")))?;
@@ -719,7 +731,14 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
                 File::open(path).map_err(|e| ArgError(format!("cannot open {path}: {e}")))?;
             let phase = read_phase(BufReader::new(file))
                 .map_err(|e| ArgError(format!("read failed: {e}")))?;
-            let h = SharingHistogram::from_trace(&phase, 4);
+            let max_cores = MAX_SOCKETS * TRACE_CORES_PER_SOCKET;
+            if phase.per_core.len() > max_cores {
+                return Err(ArgError(format!(
+                    "{path}: {} cores exceed the {max_cores} of a {MAX_SOCKETS}-socket system",
+                    phase.per_core.len()
+                )));
+            }
+            let h = SharingHistogram::from_trace(&phase, TRACE_CORES_PER_SOCKET);
             println!(
                 "{path}: {} cores, {} accesses, {} pages touched",
                 phase.per_core.len(),
@@ -744,25 +763,14 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `starnuma lint [--root <path>] [--format human|json|sarif] [--json]
-/// [--sarif <path>] [--baseline] [--baseline-file <path>]
-/// [--update-baseline] [--fix] [--fix-allow]`: runs the full SN001–SN012
+/// [--sarif <path>] [--fix] [--fix-allow]`: runs the full SN001–SN012
 /// analyzer over a workspace tree and exits non-zero when anything is
-/// found beyond the accepted baseline. Every run is a full scan and
-/// writes only what it is asked to (`--sarif`, `--fix`,
-/// `--update-baseline`). Findings are not an `ArgError`: the invocation
-/// was fine, so no usage dump — just the report and the code.
+/// found. Deliberate exceptions carry an inline `audit:allow(SNxxx)`
+/// marker instead. Every run is a full scan and writes only what it is
+/// asked to (`--sarif`, `--fix`). Findings are not an `ArgError`: the
+/// invocation was fine, so no usage dump — just the report and the code.
 pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
-    args.expect_only(&[
-        "root",
-        "format",
-        "json",
-        "sarif",
-        "baseline",
-        "baseline-file",
-        "update-baseline",
-        "fix",
-        "fix-allow",
-    ])?;
+    args.expect_only(&["root", "format", "json", "sarif", "fix", "fix-allow"])?;
     let root = std::path::PathBuf::from(args.get_or("root", "."));
     let format = match (args.switch("json"), args.get_or("format", "human")) {
         (true, _) | (false, "json") => "json",
@@ -805,53 +813,17 @@ pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
         }
     }
 
-    let baseline_path = args
-        .get("baseline-file")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| root.join("ci").join("lint_baseline.json"));
-    if args.switch("update-baseline") {
-        let baseline = starnuma_audit::Baseline::from_findings(&outcome.findings);
-        baseline
-            .save(&baseline_path)
-            .map_err(|e| ArgError(format!("cannot write {}: {e}", baseline_path.display())))?;
-        println!(
-            "lint: baseline updated ({} entr{}) at {}",
-            baseline.len(),
-            if baseline.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let (findings, suppressed) = if args.switch("baseline") || args.get("baseline-file").is_some() {
-        let baseline = starnuma_audit::Baseline::load(&baseline_path).ok_or_else(|| {
-            ArgError(format!(
-                "cannot read baseline {}; regenerate with `starnuma lint --update-baseline`",
-                baseline_path.display()
-            ))
-        })?;
-        baseline.apply(outcome.findings)
-    } else {
-        (outcome.findings, Vec::new())
-    };
-
+    let findings = outcome.findings;
     match format {
         "json" => println!(
             "{}",
-            starnuma_audit::render_json_report(&findings, suppressed.len(), outcome.files_scanned)
+            starnuma_audit::render_json_report(&findings, outcome.files_scanned)
         ),
         "sarif" => println!(
             "{}",
             starnuma_audit::render_sarif(&findings, env!("CARGO_PKG_VERSION"))
         ),
-        _ => {
-            println!("{}", starnuma_audit::render_human(&findings));
-            if !suppressed.is_empty() {
-                println!(
-                    "audit: {} finding(s) suppressed by baseline",
-                    suppressed.len()
-                );
-            }
-        }
+        _ => println!("{}", starnuma_audit::render_human(&findings)),
     }
     if let Some(path) = args.get("sarif") {
         std::fs::write(

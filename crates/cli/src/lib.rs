@@ -11,8 +11,8 @@
 //! starnuma profile  <run|compare|sweep> ... [--profile-out profile.json]
 //! starnuma bench-diff <old> <new> [--tolerance 0.2]
 //! starnuma inspect  trace.jsonl [--top N] [--chrome out.json] [--profile p.json]
-//! starnuma lint     [--root .] [--format human|json|sarif] [--baseline]
-//!                   [--update-baseline] [--fix] [--fix-allow]
+//! starnuma lint     [--root .] [--format human|json|sarif] [--sarif PATH]
+//!                   [--fix] [--fix-allow]
 //! ```
 //!
 //! All simulation commands accept `--scale quick|default|full`,
@@ -131,11 +131,6 @@ commands:
               --format human|json|sarif (default human; --json is a
                                        shorthand for --format json)
               --sarif <path>           also write a SARIF 2.1.0 file
-              --baseline               subtract ci/lint_baseline.json from
-                                       the exit-code calculation
-              --baseline-file <path>   use a different baseline file
-              --update-baseline        rewrite the baseline from current
-                                       findings and exit 0
               --fix                    apply safe rewrites (HashMap→DetMap,
                                        keyed sort_unstable→stable, missing
                                        crate-root attrs), then re-lint

@@ -1,6 +1,5 @@
 //! The `starnuma lint` subcommand, exercised through the real binary so
-//! the exit-code, baseline, SARIF, and fix contracts are tested end to
-//! end.
+//! the exit-code, SARIF, and fix contracts are tested end to end.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,7 +45,7 @@ fn lint_json_format_emits_a_versioned_report() {
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.trim_start().starts_with("{\"schema_version\":1,"),
+        stdout.trim_start().starts_with("{\"schema_version\":2,"),
         "stdout: {stdout}"
     );
     assert!(stdout.contains("\"files_scanned\":"), "stdout: {stdout}");
@@ -82,77 +81,19 @@ fn lint_sarif_format_and_file_output_agree() {
 }
 
 #[test]
-fn lint_exits_zero_on_the_workspace_itself_with_the_baseline() {
+fn lint_exits_zero_on_the_workspace_itself() {
     let root = workspace_root();
     let out = starnuma()
-        .args([
-            "lint",
-            "--root",
-            root.to_str().expect("utf-8"),
-            "--baseline",
-        ])
+        .args(["lint", "--root", root.to_str().expect("utf-8")])
         .output()
         .expect("binary runs");
     assert!(
         out.status.success(),
-        "workspace must stay lint-clean beyond the baseline:\n{}",
+        "workspace must stay lint-clean:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("no findings"), "stdout: {stdout}");
-    assert!(
-        stdout.contains("suppressed by baseline"),
-        "stdout: {stdout}"
-    );
-}
-
-#[test]
-fn update_baseline_is_a_no_op_on_the_workspace() {
-    let root = workspace_root();
-    let dir = std::env::temp_dir().join("starnuma-lint-cli-baseline");
-    fs::create_dir_all(&dir).expect("temp dir");
-    let fresh = dir.join("lint_baseline.json");
-    let out = starnuma()
-        .args([
-            "lint",
-            "--root",
-            root.to_str().expect("utf-8"),
-            "--update-baseline",
-            "--baseline-file",
-            fresh.to_str().expect("utf-8"),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "update-baseline exits zero");
-    let regenerated = fs::read_to_string(&fresh).expect("baseline written");
-    let checked_in = fs::read_to_string(root.join("ci/lint_baseline.json"))
-        .expect("ci/lint_baseline.json exists");
-    assert_eq!(
-        regenerated, checked_in,
-        "regenerating the baseline must be a no-op; \
-         run `starnuma lint --update-baseline` and commit the result"
-    );
-    fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn missing_baseline_file_fails_loudly() {
-    let out = starnuma()
-        .args([
-            "lint",
-            "--root",
-            dirty_fixture().to_str().expect("utf-8"),
-            "--baseline-file",
-            "/nonexistent/lint_baseline.json",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("cannot read baseline"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! The paper's experimental configurations as a single enum, and the
 //! experiment runner.
 
-use starnuma_obs::ObsReport;
+use starnuma_obs::{ObsReport, ObsSink};
 use starnuma_sim::{MigrationMode, Modality, RunConfig, RunResult, Runner};
 use starnuma_topology::{BandwidthVariant, SystemParams};
-use starnuma_trace::Workload;
+use starnuma_trace::{Workload, WorkloadProfile};
 
 use crate::pool::JobPool;
 use crate::scale::ScaleConfig;
@@ -193,127 +193,87 @@ impl Experiment {
     }
 
     /// Runs the experiment to completion.
+    pub fn run(&self) -> RunResult {
+        self.run_into(&ObsSink::disabled()).0
+    }
+
+    /// Like [`Experiment::run`], but with the observability layer enabled:
+    /// also returns the run's [`ObsReport`] (per-socket latency histograms,
+    /// substrate counters, and the structured event journal).
+    pub fn run_observed(&self) -> (RunResult, ObsReport) {
+        self.run_into(&self.run_config().obs_sink())
+    }
+
+    /// Runs the experiment, recording each run into a clone of `obs`, and
+    /// returns the reported result with its report. With a disabled sink
+    /// this is [`Experiment::run`]; a monitor fault armed on `obs` is armed
+    /// on every run.
     ///
     /// For the baseline systems this follows the paper's §IV-C protocol of
     /// *choosing the best-performing migration limit per workload-system
     /// combination, from 0 upward*: both the perfect-knowledge dynamic
     /// policy and the no-migration (limit 0, first-touch) variant are run
     /// — in parallel on the global [`JobPool`], since each is a pure
-    /// function of its config — and the better one is the baseline.
-    pub fn run(&self) -> RunResult {
-        let profile = self.workload.profile();
-        let tunes_limit = matches!(
-            self.system,
-            SystemKind::Baseline | SystemKind::BaselineIsoBw | SystemKind::Baseline2xBw
-        );
-        if tunes_limit {
-            let mut dynamic_cfg = self.run_config();
-            dynamic_cfg.migration = MigrationMode::OracleDynamic;
-            let mut zero_cfg = self.run_config();
-            zero_cfg.migration = MigrationMode::FirstTouchOnly;
-            let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], |_, cfg| {
-                Runner::new(profile.clone(), cfg).run()
-            });
-            // The pool returns exactly one result per job, in input order.
-            let zero = results.remove(1);
-            let dynamic = results.remove(0);
-            if zero.ipc > dynamic.ipc {
-                zero
-            } else {
-                dynamic
-            }
-        } else {
-            Runner::new(profile, self.run_config()).run()
-        }
-    }
-
-    /// Like [`Experiment::run`], but with the observability layer enabled:
-    /// also returns the run's [`ObsReport`] (per-socket latency histograms,
-    /// substrate counters, and the structured event journal).
+    /// function of its config — and the better one, with its own report,
+    /// is the baseline.
     ///
-    /// For the limit-tuned baselines both candidate runs are observed and
-    /// the winner's report is returned, so the report always describes the
-    /// result that is reported.
-    pub fn run_observed(&self) -> (RunResult, ObsReport) {
-        self.run_observed_faulted(None)
-    }
-
-    /// [`Experiment::run_observed`] with an optional one-shot injected
-    /// monitor fault (`Some(monitor_name)`), armed on every candidate
-    /// run's sink — the deterministic hook `--inject-monitor-fault` and
-    /// the failure-injection tests use to prove violations surface.
-    pub fn run_observed_faulted(&self, fault: Option<&str>) -> (RunResult, ObsReport) {
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`Runner::preflight`]; callers
+    /// taking configurations from users check it first.
+    pub fn run_into(&self, obs: &ObsSink) -> (RunResult, ObsReport) {
+        let run = |profile: WorkloadProfile, cfg: RunConfig| {
+            let mut sink = obs.clone();
+            let result = Runner::new(profile, cfg).run_observed(&mut sink);
+            (result, sink.finish())
+        };
         let profile = self.workload.profile();
         let tunes_limit = matches!(
             self.system,
             SystemKind::Baseline | SystemKind::BaselineIsoBw | SystemKind::Baseline2xBw
         );
-        if tunes_limit {
-            let mut dynamic_cfg = self.run_config();
-            dynamic_cfg.migration = MigrationMode::OracleDynamic;
-            let mut zero_cfg = self.run_config();
-            zero_cfg.migration = MigrationMode::FirstTouchOnly;
-            let fault: Option<String> = fault.map(str::to_string);
-            let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], move |_, cfg| {
-                Runner::new(profile.clone(), cfg).run_with_obs_faulted(fault.as_deref())
-            });
-            // The pool returns exactly one result per job, in input order.
-            let zero = results.remove(1);
-            let dynamic = results.remove(0);
-            if zero.0.ipc > dynamic.0.ipc {
-                zero
-            } else {
-                dynamic
-            }
+        if !tunes_limit {
+            return run(profile, self.run_config());
+        }
+        let mut dynamic_cfg = self.run_config();
+        dynamic_cfg.migration = MigrationMode::OracleDynamic;
+        let mut zero_cfg = self.run_config();
+        zero_cfg.migration = MigrationMode::FirstTouchOnly;
+        let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], |_, cfg| {
+            run(profile.clone(), cfg)
+        });
+        // The pool returns exactly one result per job, in input order.
+        let zero = results.remove(1);
+        let dynamic = results.remove(0);
+        if zero.0.ipc > dynamic.0.ipc {
+            zero
         } else {
-            Runner::new(profile, self.run_config()).run_with_obs_faulted(fault)
+            dynamic
         }
     }
 }
 
 /// Runs `workload` on `system` and on the §V-A baseline (in parallel on
-/// the global [`JobPool`]), returning
-/// `(speedup, system result, baseline result)`.
+/// the global [`JobPool`]), each into clones of `obs`, returning
+/// `(speedup, system run, baseline run)`.
 pub fn speedup_vs_baseline(
     workload: Workload,
     system: SystemKind,
     scale: &ScaleConfig,
-) -> (f64, RunResult, RunResult) {
+    obs: &ObsSink,
+) -> (f64, (RunResult, ObsReport), (RunResult, ObsReport)) {
     let mut results = JobPool::global().run(vec![SystemKind::Baseline, system], |_, kind| {
-        Experiment::new(workload, kind, scale.clone()).run()
+        Experiment::new(workload, kind, scale.clone()).run_into(obs)
     });
     // The pool returns exactly one result per job, in input order.
     let sys = results.remove(1);
     let base = results.remove(0);
-    let speedup = if base.ipc > 0.0 {
-        sys.ipc / base.ipc
+    let speedup = if base.0.ipc > 0.0 {
+        sys.0.ipc / base.0.ipc
     } else {
         0.0
     };
     (speedup, sys, base)
-}
-
-/// [`speedup_vs_baseline`] with the observability layer enabled on **both**
-/// runs, returning `(speedup, system result, baseline result, system
-/// report, baseline report)`. Harness paths that honor `--trace-out` /
-/// `--metrics-out` use this; everything else keeps the report-free variant.
-pub fn speedup_vs_baseline_observed(
-    workload: Workload,
-    system: SystemKind,
-    scale: &ScaleConfig,
-) -> (f64, RunResult, RunResult, ObsReport, ObsReport) {
-    let mut results = JobPool::global().run(vec![SystemKind::Baseline, system], |_, kind| {
-        Experiment::new(workload, kind, scale.clone()).run_observed()
-    });
-    // The pool returns exactly one result per job, in input order.
-    let (sys, sys_report) = results.remove(1);
-    let (base, base_report) = results.remove(0);
-    let speedup = if base.ipc > 0.0 {
-        sys.ipc / base.ipc
-    } else {
-        0.0
-    };
-    (speedup, sys, base, sys_report, base_report)
 }
 
 #[cfg(test)]

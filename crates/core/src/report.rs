@@ -1,8 +1,8 @@
 //! Machine-readable experiment reports.
 //!
-//! [`RunResult`]s and sweep curves as JSON values (the workspace's one
-//! JSON module, [`starnuma_types::json`]), so harness output can be
-//! consumed by plotting scripts or CI checks.
+//! [`RunResult`]s as JSON values (the workspace's one JSON module,
+//! [`starnuma_types::json`]), so harness output can be consumed by
+//! plotting scripts or CI checks.
 
 use starnuma_sim::RunResult;
 use starnuma_topology::AccessClass;
@@ -10,7 +10,6 @@ use starnuma_trace::Workload;
 use starnuma_types::json::{obj, Value};
 
 use crate::experiment::SystemKind;
-use crate::sweep::SweepPoint;
 
 /// Renders one run result as a JSON object.
 pub fn run_result_json(workload: Workload, system: SystemKind, r: &RunResult) -> Value {
@@ -52,39 +51,10 @@ pub fn run_result_json(workload: Workload, system: SystemKind, r: &RunResult) ->
     ])
 }
 
-/// Renders a sweep curve as a JSON object: `{"knob": ..., "points":
-/// [{"x": ..., "speedup": ...}, ...]}`. `knob` names the swept parameter
-/// (e.g. `cxl_one_way_ns`, `pool_capacity_frac`).
-pub fn sweep_points_json(knob: &str, points: &[SweepPoint]) -> Value {
-    let points = points
-        .iter()
-        .map(|p| obj([("x", p.x.into()), ("speedup", p.speedup.into())]))
-        .collect();
-    obj([("knob", knob.into()), ("points", Value::Arr(points))])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Experiment, ScaleConfig};
-
-    #[test]
-    fn sweep_points_serialize() {
-        let pts = [
-            SweepPoint {
-                x: 50.0,
-                speedup: 1.5,
-            },
-            SweepPoint {
-                x: 140.0,
-                speedup: 1.0,
-            },
-        ];
-        assert_eq!(
-            sweep_points_json("cxl_one_way_ns", &pts).render(),
-            "{\"knob\":\"cxl_one_way_ns\",\"points\":[{\"x\":50,\"speedup\":1.5},{\"x\":140,\"speedup\":1}]}"
-        );
-    }
 
     #[test]
     fn run_result_round_trips_structure() {

@@ -98,6 +98,17 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
+    /// A recording observability sink sized for this configuration: one
+    /// histogram row per socket, the [`crate::access_class_labels`]
+    /// columns, and the default journal capacity.
+    pub fn obs_sink(&self) -> starnuma_obs::ObsSink {
+        starnuma_obs::ObsSink::enabled(
+            self.params.num_sockets,
+            crate::access_class_labels(),
+            starnuma_obs::DEFAULT_JOURNAL_CAPACITY,
+        )
+    }
+
     /// Pool capacity in pages for a given footprint.
     pub fn pool_capacity_pages(&self, footprint_pages: u64) -> u64 {
         if self.params.has_pool {

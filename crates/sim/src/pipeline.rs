@@ -7,7 +7,7 @@ use starnuma_migration::{
     static_oracle_placement_with_sharers, FirstTouch, MetadataRegion, MigrationCosts,
     OracleDynamicPolicy, PageAccessCounts, PolicyConfig, ReplicaMap, ThresholdPolicy,
 };
-use starnuma_obs::{EventCategory, EventLevel, FieldValue, ObsReport, ObsSink, PhaseCheck};
+use starnuma_obs::{EventCategory, EventLevel, FieldValue, ObsSink, PhaseCheck};
 use starnuma_prof::{ProfScope, Site};
 use starnuma_topology::Network;
 use starnuma_trace::{TraceGenerator, WorkloadProfile};
@@ -97,29 +97,6 @@ impl Runner {
     /// Executes the run and aggregates the results.
     pub fn run(self) -> RunResult {
         self.run_observed(&mut ObsSink::disabled())
-    }
-
-    /// Executes the run with full observability: per-socket/per-class
-    /// latency histograms, phase-barrier substrate counters, and the
-    /// structured event journal. Returns the result alongside the report.
-    pub fn run_with_obs(self) -> (RunResult, ObsReport) {
-        self.run_with_obs_faulted(None)
-    }
-
-    /// [`Runner::run_with_obs`], optionally arming a one-shot injected
-    /// monitor fault (`Some(monitor_name)`) before the run starts — the
-    /// deterministic way to prove the violation path fires end to end.
-    pub fn run_with_obs_faulted(self, fault: Option<&str>) -> (RunResult, ObsReport) {
-        let mut obs = ObsSink::enabled(
-            self.config.params.num_sockets,
-            crate::access_class_labels(),
-            starnuma_obs::DEFAULT_JOURNAL_CAPACITY,
-        );
-        if let Some(monitor) = fault {
-            obs.arm_monitor_fault(monitor);
-        }
-        let result = self.run_observed(&mut obs);
-        (result, obs.finish())
     }
 
     /// Executes the run, recording into the caller's sink. With a

@@ -23,8 +23,9 @@
 //!
 //! let params = SystemParams::scaled_starnuma();
 //! let net = Network::new(&params);
-//! let route = net.route(SocketId::new(0), Location::Pool);
-//! assert_eq!(route.unloaded_total.raw(), 180.0);
+//! let s0 = SocketId::new(0);
+//! assert_eq!(net.leg(Location::Socket(s0), Location::Pool).len(), 1); // one CXL link
+//! assert_eq!(net.latency().demand_access(s0, Location::Pool).raw(), 180.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -37,5 +38,5 @@ mod params;
 
 pub use dot::to_dot;
 pub use latency::{CxlLatencyBreakdown, LatencyModel};
-pub use network::{AccessClass, LinkId, LinkKind, Network, Route};
+pub use network::{AccessClass, LinkId, LinkKind, Network};
 pub use params::{BandwidthVariant, ScalePreset, SystemParams};

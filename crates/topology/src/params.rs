@@ -1,7 +1,7 @@
 //! System parameter sets: Table I (full scale), Table II (scaled down for
 //! simulation), and the sensitivity-study variants of §V-C, §V-D, and §V-G.
 
-use starnuma_types::{ConfigError, Diagnostic, GbPerSec, Nanos, SOCKETS_PER_CHASSIS};
+use starnuma_types::{ConfigError, Diagnostic, GbPerSec, Nanos, MAX_SOCKETS, SOCKETS_PER_CHASSIS};
 
 /// Bandwidth-provisioning variants studied in §V-D of the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -111,6 +111,22 @@ pub struct SystemParams {
 /// 38.4 GB/s; sustained efficiency on mixed read/write streams is ~65 %.
 const DDR5_CHANNEL_EFFECTIVE: f64 = 25.0;
 
+/// Why `n` is not a modelable socket count, if it is not: the mesh is built
+/// from whole chassis, and per-socket state keeps one bit per socket.
+fn socket_count_problem(n: usize) -> Option<String> {
+    if n == 0 || !n.is_multiple_of(SOCKETS_PER_CHASSIS) {
+        Some(format!(
+            "socket count must be a positive multiple of {SOCKETS_PER_CHASSIS}, got {n}"
+        ))
+    } else if n > MAX_SOCKETS {
+        Some(format!(
+            "socket count must be at most {MAX_SOCKETS}, got {n}"
+        ))
+    } else {
+        None
+    }
+}
+
 impl SystemParams {
     /// The full-scale baseline 16-socket system of Table I (no pool).
     pub fn full_scale_baseline() -> Self {
@@ -206,17 +222,16 @@ impl SystemParams {
         self
     }
 
-    /// Expands the system to `n` sockets (must be a multiple of four).
-    /// Used by the §V-C 32-socket discussion.
+    /// Expands the system to `n` sockets (a multiple of four, at most
+    /// [`MAX_SOCKETS`]). Used by the §V-C 32-socket discussion.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `n` is zero or not a multiple of four.
+    /// Returns [`ConfigError`] if `n` is zero, not a multiple of four, or
+    /// above [`MAX_SOCKETS`].
     pub fn with_num_sockets(mut self, n: usize) -> Result<Self, ConfigError> {
-        if n == 0 || !n.is_multiple_of(SOCKETS_PER_CHASSIS) {
-            return Err(ConfigError::new(format!(
-                "socket count must be a positive multiple of {SOCKETS_PER_CHASSIS}, got {n}"
-            )));
+        if let Some(problem) = socket_count_problem(n) {
+            return Err(ConfigError::new(problem));
         }
         self.num_sockets = n;
         Ok(self)
@@ -240,14 +255,11 @@ impl SystemParams {
     /// chassis cannot reach each other.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        if self.num_sockets == 0 || !self.num_sockets.is_multiple_of(SOCKETS_PER_CHASSIS) {
+        if let Some(problem) = socket_count_problem(self.num_sockets) {
             out.push(Diagnostic::error(
                 "SN101",
                 "SystemParams.num_sockets",
-                format!(
-                    "socket count must be a positive multiple of {SOCKETS_PER_CHASSIS}, got {}",
-                    self.num_sockets
-                ),
+                problem,
                 "the glueless mesh is built from whole 4-socket chassis; use with_num_sockets",
             ));
         }

@@ -38,7 +38,7 @@ mod generator;
 mod profile;
 pub mod stats;
 
-pub use file::{read_phase, read_run, write_phase, write_run, RunHeader};
+pub use file::{read_phase, write_phase};
 pub use generator::{PhaseTrace, TraceGenerator};
 pub use profile::{PageClass, ProfileBuilder, SharerCount, Workload, WorkloadProfile};
 pub use stats::{SharingBin, SharingHistogram};

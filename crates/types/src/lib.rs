@@ -51,3 +51,8 @@ pub const REGION_PAGES: usize = 128;
 
 /// Number of sockets per chassis in the HPE Superdome FLEX-style topology.
 pub const SOCKETS_PER_CHASSIS: usize = 4;
+
+/// Largest modeled socket count: the directory's sharer masks, the region
+/// tracker, replication and the sharing histogram keep one bit per socket
+/// in a `u32`.
+pub const MAX_SOCKETS: usize = 32;

@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use starnuma_audit::{lint_workspace, render_human, Baseline};
+use starnuma_audit::{lint_workspace, render_human};
 use starnuma_migration::PolicyConfig;
 use starnuma_sim::{RunConfig, Runner};
 use starnuma_topology::{Network, SystemParams};
@@ -12,25 +12,16 @@ use starnuma_trace::Workload;
 use starnuma_types::{Nanos, Severity, StarNumaError};
 
 #[test]
-fn workspace_is_lint_clean_modulo_the_checked_in_baseline() {
+fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let findings = lint_workspace(root)
         .expect("workspace is readable")
         .findings;
-    let baseline = Baseline::load(&root.join("ci").join("lint_baseline.json"))
-        .expect("ci/lint_baseline.json is present and well-formed");
-    let (remaining, suppressed) = baseline.apply(findings);
     assert!(
-        remaining.is_empty(),
-        "audit self-lint (SN001–SN012) must stay clean beyond the baseline:\n{}",
-        render_human(&remaining)
-    );
-    // Every baseline entry must still correspond to a live finding — a
-    // stale baseline hides future regressions at the listed locations.
-    assert_eq!(
-        suppressed.len(),
-        baseline.len(),
-        "stale baseline entries; regenerate with `starnuma lint --update-baseline`"
+        findings.is_empty(),
+        "audit self-lint (SN001–SN012) must stay clean; mark a deliberate \
+         exception with `// audit:allow(SNxxx) <reason>`:\n{}",
+        render_human(&findings)
     );
 }
 
@@ -47,6 +38,19 @@ fn negative_latency_is_rejected_with_sn101() {
     config.params.mem_base = Nanos::new(-1.0);
     let err = Runner::try_new(Workload::Bfs.profile(), config).expect_err("invalid");
     assert_eq!(invalid_model_codes(err), ["SN101"]);
+}
+
+#[test]
+fn more_than_32_sockets_is_rejected_with_sn101() {
+    // The directory's sharer masks and every per-socket bitmask are `u32`s.
+    let mut config = RunConfig::default();
+    config.params.num_sockets = 36;
+    let err = Runner::try_new(Workload::Bfs.profile(), config).expect_err("invalid");
+    assert_eq!(invalid_model_codes(err), ["SN101"]);
+    assert!(SystemParams::scaled_starnuma()
+        .with_num_sockets(36)
+        .is_err());
+    assert!(SystemParams::scaled_starnuma().with_num_sockets(32).is_ok());
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! Tier-1 gate for the deterministic-index swap (PR 5): replacing the
-//! hot-path `BTreeMap`s with [`starnuma_types::DetMap`] must be invisible
-//! in every result. None of the swapped maps (coherence directory entries,
-//! TLB annex index, in-flight migration timing, replica masks) is iterated
-//! on the hot path, so `RunResult`s and rendered obs exports must stay
-//! **bit-identical** to the BTreeMap baseline — the golden digests below
-//! were recorded against that baseline (commit before the swap) and every
+//! Tier-1 gate for the hot-path index structures: replacing the
+//! `BTreeMap`s with [`starnuma_types::DetMap`] (TLB annex index, in-flight
+//! migration timing, replica masks) and, later, the directory's map with a
+//! dense block-indexed array must be invisible in every result. None of
+//! these indexes is iterated on the hot path, so `RunResult`s and rendered
+//! obs exports must stay **bit-identical** to the BTreeMap baseline — the
+//! golden digests below were recorded against that baseline and every
 //! workload profile must still hash to them, at `--jobs 1` and `--jobs 4`.
 //!
 //! Regenerating goldens (only when an *intentional* model change lands):

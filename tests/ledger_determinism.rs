@@ -119,7 +119,9 @@ fn ledger_records_and_monitor_verdicts_are_deterministic() {
     for &w in &Workload::ALL {
         let e = Experiment::new(w, SystemKind::StarNuma, tiny());
         let (clean_result, _) = e.run_observed();
-        let (faulted_result, faulted_report) = e.run_observed_faulted(Some("pool_occupancy"));
+        let mut armed = e.run_config().obs_sink();
+        armed.arm_monitor_fault("pool_occupancy");
+        let (faulted_result, faulted_report) = e.run_into(&armed);
         assert_eq!(
             faulted_report.monitor.violations.len(),
             1,

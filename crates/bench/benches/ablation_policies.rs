@@ -16,7 +16,7 @@ fn speedup_with(w: Workload, mode: MigrationMode) -> f64 {
     let mut cfg = Experiment::new(w, SystemKind::StarNuma, s).run_config();
     cfg.migration = mode;
     let r = Runner::new(w.profile(), cfg).run();
-    r.ipc / base.ipc
+    starnuma::speedup(&r, &base)
 }
 
 fn main() {

@@ -17,7 +17,7 @@ use starnuma_types::SocketId;
 fn speedup_at(w: Workload, s: &ScaleConfig) -> f64 {
     let base = Experiment::new(w, SystemKind::Baseline, s.clone()).run();
     let star = Experiment::new(w, SystemKind::StarNuma, s.clone()).run();
-    star.ipc / base.ipc
+    starnuma::speedup(&star, &base)
 }
 
 fn speedup_mixed(w: Workload, s: &ScaleConfig) -> f64 {
@@ -30,7 +30,7 @@ fn speedup_mixed(w: Workload, s: &ScaleConfig) -> f64 {
     };
     let base = run(SystemKind::Baseline);
     let star = run(SystemKind::StarNuma);
-    star.ipc / base.ipc
+    starnuma::speedup(&star, &base)
 }
 
 fn main() {

@@ -35,7 +35,7 @@ fn run_with_replication(w: Workload, pool: bool) -> Outcome {
     let r = Runner::new(w.profile(), cfg).run();
     let reps = r.replication.expect("replication was enabled");
     Outcome {
-        speedup: r.ipc / base.ipc,
+        speedup: starnuma::speedup(&r, &base),
         replica_pages: reps.peak_replica_pages,
         collapses: reps.collapses,
     }

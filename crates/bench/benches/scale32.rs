@@ -52,8 +52,8 @@ fn main() {
         print_row(
             w.name(),
             &[
-                fmt_speedup(star16.ipc / base16.ipc),
-                fmt_speedup(star32.ipc / base32.ipc),
+                fmt_speedup(starnuma::speedup(&star16, &base16)),
+                fmt_speedup(starnuma::speedup(&star32, &base32)),
                 format!(
                     "{:.0}%",
                     star32.class_frac(starnuma::AccessClass::TwoHop) * 100.0

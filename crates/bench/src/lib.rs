@@ -14,9 +14,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use starnuma::{Experiment, JobPool, RunResult, ScaleConfig, SystemKind, Workload};
+use starnuma::obs::ObsSink;
+use starnuma::{run_best, Experiment, JobPool, RunResult, ScaleConfig, SystemKind, Workload};
 use starnuma_types::json::{write_num, write_str};
 
 /// Prints the standard bench banner.
@@ -88,32 +89,28 @@ impl Lab {
 
     /// Speedup of `system` over the §V-A baseline for `workload`.
     pub fn speedup(&mut self, workload: Workload, system: SystemKind) -> f64 {
-        let base = self.run(workload, SystemKind::Baseline).ipc;
-        let sys = self.run(workload, system).ipc;
-        if base > 0.0 {
-            sys / base
-        } else {
-            0.0
-        }
+        let base = self.run(workload, SystemKind::Baseline).clone();
+        starnuma::speedup(self.run(workload, system), &base)
     }
 
-    /// Runs every not-yet-cached `(workload, system)` pair in parallel on
-    /// the harness [`pool`] and caches the results, so the subsequent
+    /// Runs every not-yet-cached `(workload, system)` pair as one
+    /// [`run_best`] batch and caches the results, so the subsequent
     /// [`Lab::run`]/[`Lab::speedup`] calls that format the table are pure
     /// cache hits. Results are bit-identical to sequential execution, so
     /// prefetching never changes a figure — only how fast it regenerates.
     pub fn prefetch(&mut self, pairs: &[(Workload, SystemKind)]) {
-        let mut queued = BTreeSet::new();
         let missing: Vec<(Workload, SystemKind)> = pairs
             .iter()
             .copied()
-            .filter(|key| !self.cache.contains_key(key) && queued.insert(*key))
+            .filter(|key| !self.cache.contains_key(key))
             .collect();
         let scale = scale();
-        let results = pool().run(missing.clone(), |_, (w, s)| {
-            Experiment::new(w, s, scale.clone()).run()
-        });
-        for (key, r) in missing.into_iter().zip(results) {
+        let requests = missing
+            .iter()
+            .map(|&(w, s)| (w, Experiment::new(w, s, scale.clone()).candidates()))
+            .collect();
+        let runs = run_best(requests, &ObsSink::disabled());
+        for (key, (r, _)) in missing.into_iter().zip(runs) {
             self.cache.insert(key, r);
         }
     }

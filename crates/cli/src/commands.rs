@@ -13,8 +13,9 @@ use starnuma::obs::{
 use starnuma::prof;
 use starnuma::report::run_result_json;
 use starnuma::{
-    geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunConfig,
-    RunResult, Runner, ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
+    geomean, run_best, speedup, AccessClass, CxlLatencyBreakdown, Experiment, JobPool,
+    LatencyModel, RunConfig, RunResult, Runner, ScaleConfig, ScalePreset, SystemKind,
+    TraceGenerator, Workload,
 };
 use starnuma_migration::ReplicationConfig;
 use starnuma_topology::SystemParams;
@@ -144,7 +145,7 @@ impl LedgerSession {
     /// Wall time and profiler top sites are per *command*, shared by every
     /// record of a batch (compare/sweep fan their runs out in parallel, so
     /// per-run wall time does not exist).
-    fn append(self, entries: &[(RunMeta, u64, &RunResult, &ObsReport)]) -> Result<(), ArgError> {
+    fn append(self, entries: &[Row]) -> Result<(), ArgError> {
         let wall_ns = self.timer.elapsed_ns();
         let top_sites: Vec<SiteSummary> = if self.owns_prof {
             prof::set_enabled(false);
@@ -179,9 +180,9 @@ impl LedgerSession {
 
 /// Prints every monitor violation to stderr; under `--strict-monitors` a
 /// non-empty set fails the command.
-fn enforce_monitors(args: &Args, sections: &[(RunMeta, &ObsReport)]) -> ExitCode {
+fn enforce_monitors(args: &Args, rows: &[Row]) -> ExitCode {
     let mut violations = 0u64;
-    for (meta, report) in sections {
+    for (meta, _, _, report) in rows {
         for v in &report.monitor.violations {
             violations += 1;
             eprintln!(
@@ -198,17 +199,20 @@ fn enforce_monitors(args: &Args, sections: &[(RunMeta, &ObsReport)]) -> ExitCode
     }
 }
 
-/// Prepares a simulation command: preflights every `(workload, config)`
-/// it is about to run, so a bad run shape is a usage error listing the
-/// rendered diagnostics instead of a panic mid-fan-out, and builds the one
-/// observability sink each run records into a clone of. The sink is
+/// Prepares a simulation command: preflights every candidate of every
+/// request it is about to run, so a bad run shape is a usage error listing
+/// the rendered diagnostics instead of a panic mid-fan-out, and builds the
+/// one observability sink each run records into a clone of. The sink is
 /// disabled unless [`wants_obs`], and `--inject-monitor-fault NAME`
 /// (validated against the monitor catalogue) is armed on it. Every system
 /// kind has the same socket count, so the sink sized for the first
 /// configuration fits them all.
-fn prepare(args: &Args, runs: &[(Workload, RunConfig)]) -> Result<ObsSink, ArgError> {
-    for (workload, cfg) in runs {
-        Runner::try_new(workload.profile(), cfg.clone()).map_err(|e| ArgError(e.to_string()))?;
+fn prepare(args: &Args, requests: &[Request]) -> Result<ObsSink, ArgError> {
+    for (workload, _, configs) in requests {
+        for cfg in configs {
+            Runner::try_new(workload.profile(), cfg.clone())
+                .map_err(|e| ArgError(e.to_string()))?;
+        }
     }
     let fault = match args.get("inject-monitor-fault") {
         Some(name) if !MONITOR_NAMES.contains(&name) => {
@@ -219,8 +223,8 @@ fn prepare(args: &Args, runs: &[(Workload, RunConfig)]) -> Result<ObsSink, ArgEr
         }
         fault => fault,
     };
-    let mut obs = match runs.first() {
-        Some((_, cfg)) if wants_obs(args) => cfg.obs_sink(),
+    let mut obs = match requests.first().and_then(|(_, _, configs)| configs.first()) {
+        Some(cfg) if wants_obs(args) => cfg.obs_sink(),
         _ => return Ok(ObsSink::disabled()),
     };
     if let Some(monitor) = fault {
@@ -253,22 +257,71 @@ fn write_out(path: &str, contents: &str) -> Result<(), ArgError> {
     std::fs::write(path, contents).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
 }
 
+/// One observed run as a command reports it: its export header, the
+/// digest of its configuration, its result and its report.
+type Row<'a> = (RunMeta, u64, &'a RunResult, &'a ObsReport);
+
+/// One run a simulation command asks for: the workload, the system it
+/// reports the run under, and the candidate configurations.
+type Request = (Workload, SystemKind, Vec<RunConfig>);
+
+/// Runs a simulation command's requests as one [`run_best`] batch and
+/// returns each request's result with the command's exit code. It
+/// installs `--jobs` and `--progress`, [`prepare`]s the requests and starts
+/// the ledger session first. With observability on, it then writes
+/// `--trace-out`/`--metrics-out` with one section per request that
+/// `recorded` accepts (by index), appends one ledger record for each, and
+/// takes the exit code from [`enforce_monitors`]. A record's config digest
+/// is that of the request's first candidate, the experiment's own config.
+fn simulate(
+    args: &Args,
+    scale: &ScaleConfig,
+    requests: Vec<Request>,
+    recorded: impl Fn(usize) -> bool,
+) -> Result<(Vec<RunResult>, ExitCode), ArgError> {
+    configure_jobs(args)?;
+    starnuma::set_progress(args.switch("progress"));
+    let obs = prepare(args, &requests)?;
+    let ledger = ledger_session(args);
+    let heads: Vec<(RunMeta, u64)> = requests
+        .iter()
+        .map(|(w, s, c)| (run_meta(w.name(), *s, scale), config_digest(&c[0])))
+        .collect();
+    let runs = run_best(requests.into_iter().map(|(w, _, c)| (w, c)).collect(), &obs);
+    let mut exit = ExitCode::SUCCESS;
+    if obs.is_enabled() {
+        let rows: Vec<Row> = heads
+            .into_iter()
+            .zip(&runs)
+            .enumerate()
+            .filter(|(i, _)| recorded(*i))
+            .map(|(_, ((meta, digest), (result, report)))| (meta, digest, result, report))
+            .collect();
+        write_obs_outputs(args, &rows)?;
+        if let Some(session) = ledger {
+            session.append(&rows)?;
+        }
+        exit = enforce_monitors(args, &rows);
+    }
+    Ok((runs.into_iter().map(|(r, _)| r).collect(), exit))
+}
+
 /// Honors `--trace-out`/`--metrics-out` for a batch of observed runs: the
 /// trace file is the concatenation of each run's self-describing JSONL
 /// section (one `meta` line each), the metrics file a JSON array with one
 /// object per run (a bare object for a single run).
-fn write_obs_outputs(args: &Args, sections: &[(RunMeta, &ObsReport)]) -> Result<(), ArgError> {
+fn write_obs_outputs(args: &Args, rows: &[Row]) -> Result<(), ArgError> {
     if let Some(path) = args.get("trace-out") {
         let mut out = String::new();
-        for (meta, report) in sections {
+        for (meta, _, _, report) in rows {
             out.push_str(&trace_jsonl(meta, report));
         }
         write_out(path, &out)?;
     }
     if let Some(path) = args.get("metrics-out") {
-        let rendered: Vec<String> = sections
+        let rendered: Vec<String> = rows
             .iter()
-            .map(|(meta, report)| metrics_json(meta, &report.metrics))
+            .map(|(meta, _, _, report)| metrics_json(meta, &report.metrics))
             .collect();
         let payload = match rendered.as_slice() {
             [one] => one.clone(),
@@ -318,13 +371,10 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
         "inject-monitor-fault",
         "progress",
     ])?;
-    configure_jobs(args)?;
-    starnuma::set_progress(args.switch("progress"));
     let workload = parse_workload(args.require("workload")?)?;
     let system = parse_system(args.get_or("system", "starnuma"))?;
     let scale = parse_scale(args)?;
-    let experiment = Experiment::new(workload, system, scale.clone());
-    let mut cfg = experiment.run_config();
+    let mut candidates = Experiment::new(workload, system, scale.clone()).candidates();
     if let Some(frac) = args.get("replication") {
         let frac: f64 = frac
             .parse()
@@ -332,30 +382,15 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
         if !(0.0..=1.0).contains(&frac) {
             return Err(ArgError("--replication must be in [0, 1]".into()));
         }
-        cfg.replication = Some(ReplicationConfig::with_budget_frac(
-            workload.profile().footprint_pages,
-            frac,
-        ));
-    }
-    let mut obs = prepare(args, &[(workload, cfg.clone())])?;
-    let ledger = ledger_session(args);
-    let digest = config_digest(&cfg);
-    let observed = obs.is_enabled();
-    let (result, report) = if cfg.replication.is_some() {
-        let result = Runner::new(workload.profile(), cfg).run_observed(&mut obs);
-        (result, obs.finish())
-    } else {
-        experiment.run_into(&obs)
-    };
-    let mut exit = ExitCode::SUCCESS;
-    if observed {
-        let meta = run_meta(workload.name(), system, &scale);
-        write_obs_outputs(args, &[(meta.clone(), &report)])?;
-        if let Some(session) = ledger {
-            session.append(&[(meta.clone(), digest, &result, &report)])?;
+        let replication =
+            ReplicationConfig::with_budget_frac(workload.profile().footprint_pages, frac);
+        for cfg in &mut candidates {
+            cfg.replication = Some(replication);
         }
-        exit = enforce_monitors(args, &[(meta, &report)]);
     }
+    let (mut results, exit) =
+        simulate(args, &scale, vec![(workload, system, candidates)], |_| true)?;
+    let result = results.swap_remove(0);
     if args.switch("json") {
         println!("{}", run_result_json(workload, system, &result).render());
         return Ok(exit);
@@ -411,8 +446,6 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         "strict-monitors",
         "progress",
     ])?;
-    configure_jobs(args)?;
-    starnuma::set_progress(args.switch("progress"));
     let workload = parse_workload(args.require("workload")?)?;
     let systems: Vec<SystemKind> = args
         .get_or("systems", "baseline,starnuma,t0")
@@ -420,67 +453,27 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         .map(parse_system)
         .collect::<Result<_, _>>()?;
     let scale = parse_scale(args)?;
-    // Fan every distinct system (plus the baseline, which anchors the
-    // speedup column) out on the job pool; results are keyed for the
-    // requested row order below.
+    // Run every distinct system (plus the baseline, which anchors the
+    // speedup column) as one batch, baseline first: that is also the order
+    // of the export sections and ledger records.
     let mut distinct = vec![SystemKind::Baseline];
     for s in &systems {
         if !distinct.contains(s) {
             distinct.push(*s);
         }
     }
-    let configs: Vec<(Workload, RunConfig)> = distinct
+    let requests = distinct
         .iter()
         .map(|s| {
-            (
-                workload,
-                Experiment::new(workload, *s, scale.clone()).run_config(),
-            )
+            let experiment = Experiment::new(workload, *s, scale.clone());
+            (workload, *s, experiment.candidates())
         })
         .collect();
-    let obs = prepare(args, &configs)?;
-    let ledger = ledger_session(args);
-    let computed: BTreeMap<SystemKind, (RunResult, ObsReport)> = JobPool::global()
-        .run(distinct.clone(), |_, system| {
-            let run = Experiment::new(workload, system, scale.clone()).run_into(&obs);
-            (system, run)
-        })
-        .into_iter()
-        .collect();
-    let mut exit = ExitCode::SUCCESS;
-    if obs.is_enabled() {
-        // One export section per distinct system, baseline first — the
-        // same deterministic order the fan-out used.
-        let sections: Vec<(RunMeta, &ObsReport)> = distinct
-            .iter()
-            .map(|s| (run_meta(workload.name(), *s, &scale), &computed[s].1))
-            .collect();
-        write_obs_outputs(args, &sections)?;
-        if let Some(session) = ledger {
-            let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = distinct
-                .iter()
-                .zip(&configs)
-                .map(|(s, (_, cfg))| {
-                    let (result, rep) = &computed[s];
-                    (
-                        run_meta(workload.name(), *s, &scale),
-                        config_digest(cfg),
-                        result,
-                        rep,
-                    )
-                })
-                .collect();
-            session.append(&entries)?;
-        }
-        exit = enforce_monitors(args, &sections);
-    }
-    let computed: BTreeMap<SystemKind, RunResult> =
-        computed.into_iter().map(|(s, (r, _))| (s, r)).collect();
-    let baseline = computed[&SystemKind::Baseline].clone();
-    let rows: Vec<(SystemKind, RunResult)> = systems
-        .into_iter()
-        .map(|s| (s, computed[&s].clone()))
-        .collect();
+    let (results, exit) = simulate(args, &scale, requests, |_| true)?;
+    let computed: BTreeMap<SystemKind, RunResult> = distinct.into_iter().zip(results).collect();
+    let baseline = &computed[&SystemKind::Baseline];
+    let rows: Vec<(SystemKind, &RunResult)> =
+        systems.into_iter().map(|s| (s, &computed[&s])).collect();
     if args.switch("json") {
         let arr = Value::Arr(
             rows.iter()
@@ -502,7 +495,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
             r.ipc,
             r.amat_ns,
             r.contention_ns,
-            r.ipc / baseline.ipc
+            speedup(r, baseline)
         );
     }
     Ok(exit)
@@ -527,8 +520,6 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
         "strict-monitors",
         "progress",
     ])?;
-    configure_jobs(args)?;
-    starnuma::set_progress(args.switch("progress"));
     let system = parse_system(args.get_or("system", "starnuma"))?;
     let workloads: Vec<Workload> = match args.get("workloads") {
         None => Workload::ALL.to_vec(),
@@ -538,48 +529,22 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
             .collect::<Result<_, _>>()?,
     };
     let scale = parse_scale(args)?;
-    let configs: Vec<(Workload, RunConfig)> = workloads
+    // One batch of `[baseline, system]` per workload: the baseline anchors
+    // the speedup, the exports and ledger record the system run, and with
+    // `--system baseline` the pair is one run.
+    let requests = workloads
         .iter()
         .flat_map(|w| {
             [SystemKind::Baseline, system]
-                .map(|s| (*w, Experiment::new(*w, s, scale.clone()).run_config()))
+                .map(|s| (*w, s, Experiment::new(*w, s, scale.clone()).candidates()))
         })
         .collect();
-    let obs = prepare(args, &configs)?;
-    let ledger = ledger_session(args);
-    // One job per workload; each job runs the system and its baseline and
-    // carries back the *system* run's result and report (the baseline
-    // anchors speedups only — the ledger records the system run).
-    let rows: Vec<(Workload, f64, (RunResult, ObsReport))> =
-        JobPool::global().run(workloads, |_, w| {
-            let (speedup, sys, _) = starnuma::speedup_vs_baseline(w, system, &scale, &obs);
-            (w, speedup, sys)
-        });
-    let mut exit = ExitCode::SUCCESS;
-    if obs.is_enabled() {
-        let sections: Vec<(RunMeta, &ObsReport)> = rows
-            .iter()
-            .map(|(w, _, (_, rep))| (run_meta(w.name(), system, &scale), rep))
-            .collect();
-        write_obs_outputs(args, &sections)?;
-        if let Some(session) = ledger {
-            let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = rows
-                .iter()
-                .map(|(w, _, (result, rep))| {
-                    let cfg = Experiment::new(*w, system, scale.clone()).run_config();
-                    (
-                        run_meta(w.name(), system, &scale),
-                        config_digest(&cfg),
-                        result,
-                        rep,
-                    )
-                })
-                .collect();
-            session.append(&entries)?;
-        }
-        exit = enforce_monitors(args, &sections);
-    }
-    let rows: Vec<(&str, f64)> = rows.iter().map(|(w, s, _)| (w.name(), *s)).collect();
+    let (results, exit) = simulate(args, &scale, requests, |i| i % 2 == 1)?;
+    let rows: Vec<(&str, f64)> = workloads
+        .iter()
+        .zip(results.chunks(2))
+        .map(|(w, pair)| (w.name(), speedup(&pair[1], &pair[0])))
+        .collect();
     if args.switch("json") {
         // Self-describing output: a `meta` header (scale preset, worker
         // count, seed, version) plus the per-workload results — so a sweep

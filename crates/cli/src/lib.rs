@@ -145,7 +145,9 @@ common simulation flags:
 observability (run, compare, sweep):
   --trace-out <path>    structured JSONL: events + per-socket histograms
   --metrics-out <path>  per-phase + merged metrics JSON
-  --progress            live `k/n runs complete` + ETA lines on stderr
+  --progress            live `k/n runs complete` + ETA lines on stderr;
+                        n counts distinct simulations (a baseline is a
+                        pair of runs; a run shared by two rows, once)
   --ledger <dir>        append one schema-versioned record per run to
                         <dir>/runs.jsonl (or set STARNUMA_LEDGER);
                         read it back with `starnuma report`
@@ -311,7 +313,7 @@ mod tests {
         ])
         .is_ok());
         let saved = std::fs::read_to_string(&out).expect("profile.json written");
-        assert!(saved.contains("\"schema_version\": 1"));
+        assert!(saved.contains("\"schema_version\":1"));
         assert!(saved.contains("timing"));
         let stacks = std::fs::read_to_string(&folded).expect("folded written");
         assert!(stacks.lines().all(|l| l.starts_with("starnuma")));

@@ -1,6 +1,8 @@
 //! The paper's experimental configurations as a single enum, and the
 //! experiment runner.
 
+use std::collections::BTreeMap;
+
 use starnuma_obs::{ObsReport, ObsSink};
 use starnuma_sim::{MigrationMode, Modality, RunConfig, RunResult, Runner};
 use starnuma_topology::{BandwidthVariant, SystemParams};
@@ -204,76 +206,110 @@ impl Experiment {
         self.run_into(&self.run_config().obs_sink())
     }
 
+    /// The configurations this experiment runs, its reported result being
+    /// the highest-IPC one. For the baseline systems this is the paper's
+    /// §IV-C protocol of *choosing the best-performing migration limit per
+    /// workload-system combination, from 0 upward*: the perfect-knowledge
+    /// dynamic policy ([`Experiment::run_config`]) and the no-migration
+    /// (limit 0, first-touch) variant. Every other system has one.
+    pub fn candidates(&self) -> Vec<RunConfig> {
+        let cfg = self.run_config();
+        let tunes_limit = matches!(
+            self.system,
+            SystemKind::Baseline | SystemKind::BaselineIsoBw | SystemKind::Baseline2xBw
+        );
+        if !tunes_limit {
+            return vec![cfg];
+        }
+        let mut zero = cfg.clone();
+        zero.migration = MigrationMode::FirstTouchOnly;
+        vec![cfg, zero]
+    }
+
     /// Runs the experiment, recording each run into a clone of `obs`, and
-    /// returns the reported result with its report. With a disabled sink
-    /// this is [`Experiment::run`]; a monitor fault armed on `obs` is armed
-    /// on every run.
-    ///
-    /// For the baseline systems this follows the paper's §IV-C protocol of
-    /// *choosing the best-performing migration limit per workload-system
-    /// combination, from 0 upward*: both the perfect-knowledge dynamic
-    /// policy and the no-migration (limit 0, first-touch) variant are run
-    /// — in parallel on the global [`JobPool`], since each is a pure
-    /// function of its config — and the better one, with its own report,
-    /// is the baseline.
+    /// returns the reported result with its report: [`run_best`] over
+    /// [`Experiment::candidates`]. With a disabled sink this is
+    /// [`Experiment::run`]; a monitor fault armed on `obs` is armed on
+    /// every run.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`Runner::preflight`]; callers
     /// taking configurations from users check it first.
     pub fn run_into(&self, obs: &ObsSink) -> (RunResult, ObsReport) {
-        let run = |profile: WorkloadProfile, cfg: RunConfig| {
-            let mut sink = obs.clone();
-            let result = Runner::new(profile, cfg).run_observed(&mut sink);
-            (result, sink.finish())
-        };
-        let profile = self.workload.profile();
-        let tunes_limit = matches!(
-            self.system,
-            SystemKind::Baseline | SystemKind::BaselineIsoBw | SystemKind::Baseline2xBw
-        );
-        if !tunes_limit {
-            return run(profile, self.run_config());
-        }
-        let mut dynamic_cfg = self.run_config();
-        dynamic_cfg.migration = MigrationMode::OracleDynamic;
-        let mut zero_cfg = self.run_config();
-        zero_cfg.migration = MigrationMode::FirstTouchOnly;
-        let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], |_, cfg| {
-            run(profile.clone(), cfg)
-        });
-        // The pool returns exactly one result per job, in input order.
-        let zero = results.remove(1);
-        let dynamic = results.remove(0);
-        if zero.0.ipc > dynamic.0.ipc {
-            zero
-        } else {
-            dynamic
-        }
+        let mut best = run_best(vec![(self.workload, self.candidates())], obs);
+        best.swap_remove(0)
     }
 }
 
-/// Runs `workload` on `system` and on the §V-A baseline (in parallel on
-/// the global [`JobPool`]), each into clones of `obs`, returning
-/// `(speedup, system run, baseline run)`.
-pub fn speedup_vs_baseline(
-    workload: Workload,
-    system: SystemKind,
-    scale: &ScaleConfig,
+/// Runs a batch of requests, each a workload with its candidate
+/// configurations, and returns, in input order, each request's
+/// highest-IPC candidate (the first on a tie) with that run's report.
+///
+/// Every distinct `(workload, config)` of the batch — distinct by its
+/// `Debug` rendering, the identity the run ledger's config digest uses —
+/// runs once, into its own clone of `obs`, in one fan-out on the global
+/// [`JobPool`]. Each run is a pure function of its configuration, so the
+/// results are bit-identical to running every candidate on its own, in
+/// any order and at any worker count. A batch of one run stays on the
+/// caller's thread.
+///
+/// # Panics
+///
+/// Panics if a request has no candidates, or if a configuration fails
+/// [`Runner::preflight`].
+pub fn run_best(
+    requests: Vec<(Workload, Vec<RunConfig>)>,
     obs: &ObsSink,
-) -> (f64, (RunResult, ObsReport), (RunResult, ObsReport)) {
-    let mut results = JobPool::global().run(vec![SystemKind::Baseline, system], |_, kind| {
-        Experiment::new(workload, kind, scale.clone()).run_into(obs)
+) -> Vec<(RunResult, ObsReport)> {
+    let mut index: BTreeMap<(Workload, String), usize> = BTreeMap::new();
+    let mut jobs: Vec<(WorkloadProfile, RunConfig)> = Vec::new();
+    let mut picks: Vec<Vec<usize>> = Vec::new();
+    for (workload, configs) in requests {
+        let mut request = Vec::new();
+        for cfg in configs {
+            let key = (workload, format!("{cfg:?}"));
+            request.push(*index.entry(key).or_insert_with(|| {
+                jobs.push((workload.profile(), cfg));
+                jobs.len() - 1
+            }));
+        }
+        picks.push(request);
+    }
+    let runs = JobPool::global().run(jobs, |_, (profile, cfg)| {
+        let mut sink = obs.clone();
+        let result = Runner::new(profile, cfg).run_observed(&mut sink);
+        (result, sink.finish())
     });
-    // The pool returns exactly one result per job, in input order.
-    let sys = results.remove(1);
-    let base = results.remove(0);
-    let speedup = if base.0.ipc > 0.0 {
-        sys.0.ipc / base.0.ipc
+    let ipc = |i: usize| runs[i].0.ipc;
+    let best: Vec<usize> = picks
+        .iter()
+        .map(|c| {
+            c.iter()
+                .fold(c[0], |b, &i| if ipc(i) > ipc(b) { i } else { b })
+        })
+        .collect();
+    // A run picked by several requests is copied for all but its last.
+    let mut runs: Vec<_> = runs.into_iter().map(Some).collect();
+    let mut out = Vec::with_capacity(best.len());
+    for (k, &i) in best.iter().enumerate() {
+        out.extend(if best[k + 1..].contains(&i) {
+            runs[i].clone()
+        } else {
+            runs[i].take()
+        });
+    }
+    out
+}
+
+/// The speedup of `system` over `baseline`: the ratio of their per-core
+/// IPCs, 0 when the baseline's IPC is 0.
+pub fn speedup(system: &RunResult, baseline: &RunResult) -> f64 {
+    if baseline.ipc > 0.0 {
+        system.ipc / baseline.ipc
     } else {
         0.0
-    };
-    (speedup, sys, base)
+    }
 }
 
 #[cfg(test)]

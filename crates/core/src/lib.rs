@@ -46,7 +46,7 @@ pub mod report;
 mod scale;
 pub mod sweep;
 
-pub use experiment::{speedup_vs_baseline, Experiment, SystemKind};
+pub use experiment::{run_best, speedup, Experiment, SystemKind};
 pub use pool::{set_global_jobs, set_progress, JobPool};
 pub use scale::ScaleConfig;
 

@@ -43,8 +43,7 @@ static PROGRESS: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     /// Whether the current thread is itself a pool worker. Nested
-    /// [`JobPool::run`] calls (a sweep point whose experiment tunes its
-    /// baseline pair, say) then run inline: the worker budget is global,
+    /// [`JobPool::run`] calls (a job that itself fans out) then run inline: the worker budget is global,
     /// not per-level, so `--jobs 4` means at most 4 concurrent runs — not
     /// 4 × 2 × 2 threads time-slicing each other off the same cores.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -60,9 +59,9 @@ pub fn set_global_jobs(workers: usize) {
 /// Enables (or disables) progress reporting for the rest of the process:
 /// every subsequent *top-level* [`JobPool::run`] fan-out of more than one
 /// job prints `k/n runs complete` lines with an ETA to stderr as results
-/// land. Nested fan-outs (a sweep point tuning its baseline pair) stay
-/// silent — only the outermost job list is the operator-visible unit of
-/// work. Off by default; the CLI's `--progress` flag turns it on.
+/// land. Nested fan-outs stay silent — only the outermost job list, one
+/// [`run_best`](crate::run_best) batch of distinct runs, is the
+/// operator-visible unit of work. Off by default; the CLI's `--progress` flag turns it on.
 pub fn set_progress(enabled: bool) {
     PROGRESS.store(enabled, Ordering::SeqCst);
 }

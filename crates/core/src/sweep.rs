@@ -5,12 +5,12 @@
 //! what an architect provisioning a real MHD wants — in particular the
 //! *break-even pool latency*, beyond which StarNUMA stops paying off.
 
-use starnuma_sim::{RunConfig, Runner};
+use starnuma_obs::ObsSink;
+use starnuma_sim::RunConfig;
 use starnuma_trace::Workload;
 use starnuma_types::Nanos;
 
-use crate::experiment::{Experiment, SystemKind};
-use crate::pool::JobPool;
+use crate::experiment::{run_best, speedup, Experiment, SystemKind};
 use crate::scale::ScaleConfig;
 
 /// One sweep sample.
@@ -33,11 +33,9 @@ pub fn sweep_cxl_latency(
     scale: &ScaleConfig,
     one_way_ns: &[f64],
 ) -> Vec<SweepPoint> {
-    let configs = one_way_ns
-        .iter()
-        .map(|&ns| (ns, latency_point_config(workload, scale, ns)))
-        .collect();
-    run_sweep(workload, scale, configs)
+    run_sweep(workload, scale, one_way_ns, |ns| {
+        latency_point_config(workload, scale, ns)
+    })
 }
 
 /// The [`RunConfig`] for one latency-sweep point: the StarNUMA system at
@@ -55,35 +53,35 @@ pub fn sweep_pool_capacity(
     scale: &ScaleConfig,
     fractions: &[f64],
 ) -> Vec<SweepPoint> {
-    let configs = fractions
-        .iter()
-        .map(|&frac| {
-            let mut cfg =
-                Experiment::new(workload, SystemKind::StarNuma, scale.clone()).run_config();
-            cfg.pool_capacity_frac = frac;
-            (frac, cfg)
-        })
-        .collect();
-    run_sweep(workload, scale, configs)
+    run_sweep(workload, scale, fractions, |frac| {
+        let mut cfg = Experiment::new(workload, SystemKind::StarNuma, scale.clone()).run_config();
+        cfg.pool_capacity_frac = frac;
+        cfg
+    })
 }
 
-/// Runs the baseline plus every `(x, config)` point on the global
-/// [`JobPool`] and normalizes each point's IPC to the baseline's. Results
-/// are in input order and bit-identical to a sequential sweep.
+/// Runs the baseline and the `point(x)` config of every `x` as one
+/// [`run_best`] batch and normalizes each point's IPC to the baseline's.
+/// Results are in input order and bit-identical to a sequential sweep.
 fn run_sweep(
     workload: Workload,
     scale: &ScaleConfig,
-    configs: Vec<(f64, RunConfig)>,
+    xs: &[f64],
+    point: impl Fn(f64) -> RunConfig,
 ) -> Vec<SweepPoint> {
-    let base = Experiment::new(workload, SystemKind::Baseline, scale.clone()).run();
-    let profile = workload.profile();
-    JobPool::global().run(configs, |_, (x, cfg)| {
-        let r = Runner::new(profile.clone(), cfg).run();
-        SweepPoint {
+    let base = Experiment::new(workload, SystemKind::Baseline, scale.clone());
+    let requests = std::iter::once(base.candidates())
+        .chain(xs.iter().map(|&x| vec![point(x)]))
+        .map(|configs| (workload, configs))
+        .collect();
+    let runs = run_best(requests, &ObsSink::disabled());
+    xs.iter()
+        .zip(&runs[1..])
+        .map(|(&x, (r, _))| SweepPoint {
             x,
-            speedup: r.ipc / base.ipc,
-        }
-    })
+            speedup: speedup(r, &runs[0].0),
+        })
+        .collect()
 }
 
 /// Linear-interpolated `x` where a descending sweep crosses `speedup = 1.0`,

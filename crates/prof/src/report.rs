@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use starnuma_types::json::{write_str, Value};
+use starnuma_types::json::{obj, Value};
 
 use crate::site::Site;
 
@@ -198,41 +198,31 @@ impl ProfReport {
         out
     }
 
-    /// Serialize as schema-versioned `profile.json`, indented with one
-    /// edge per line; strings go through the shared JSON writer.
+    /// Serialize as schema-versioned `profile.json`: one compact JSON
+    /// object and a newline. Counts are JSON numbers, exact up to 2^53.
     pub fn to_json(&self, command: &str, wall_ns: u64) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema_version\": 1,\n  \"command\": ");
-        write_str(&mut out, command);
-        let _ = writeln!(out, ",\n  \"wall_ns\": {wall_ns},");
-        let _ = writeln!(out, "  \"attributed_ns\": {},", self.attributed_ns());
-        out.push_str("  \"phases\": [\n");
-        for (pi, phase) in self.phases.iter().enumerate() {
-            let _ = writeln!(out, "    {{ \"key\": {}, \"edges\": [", phase.key);
-            for (ei, e) in phase.edges.iter().enumerate() {
-                out.push_str("      { \"site\": ");
-                write_str(&mut out, e.site.label());
-                out.push_str(", \"parent\": ");
-                match e.parent {
-                    Some(p) => write_str(&mut out, p.label()),
-                    None => out.push_str("null"),
-                }
-                let _ = write!(out, ", \"ns\": {}, \"calls\": {} }}", e.ns, e.calls);
-                out.push_str(if ei + 1 < phase.edges.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("    ] }");
-            out.push_str(if pi + 1 < self.phases.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let edge = |e: &ProfEdge| {
+            obj([
+                ("site", e.site.label().into()),
+                ("parent", e.parent.map_or(Value::Null, |p| p.label().into())),
+                ("ns", (e.ns as f64).into()),
+                ("calls", (e.calls as f64).into()),
+            ])
+        };
+        let phases = self.phases.iter().map(|phase| {
+            obj([
+                ("key", f64::from(phase.key).into()),
+                ("edges", Value::Arr(phase.edges.iter().map(edge).collect())),
+            ])
+        });
+        let doc = obj([
+            ("schema_version", 1.0.into()),
+            ("command", command.into()),
+            ("wall_ns", (wall_ns as f64).into()),
+            ("attributed_ns", (self.attributed_ns() as f64).into()),
+            ("phases", Value::Arr(phases.collect())),
+        ]);
+        doc.render() + "\n"
     }
 
     /// Parse a `profile.json` written by [`ProfReport::to_json`]. Returns
@@ -428,7 +418,7 @@ mod tests {
         // The command line goes through the shared string escaper.
         let json = report.to_json("run \"a\\b\"\r\t", 1);
         assert!(
-            json.contains("\"command\": \"run \\\"a\\\\b\\\"\\r\\t\","),
+            json.contains("\"command\":\"run \\\"a\\\\b\\\"\\r\\t\","),
             "{json}"
         );
         let saved = ProfReport::from_json(&json).map(|s| s.command);

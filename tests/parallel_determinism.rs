@@ -3,14 +3,17 @@
 //! RunConfig)` — simulated time is virtual and each run owns its RNG — so
 //! fanning independent runs across worker threads may only change
 //! wall-clock time, never a single bit of any `RunResult`. This test runs
-//! the same sweep and compare workloads with 1 and 4 workers and asserts
+//! the same sweep, compare and batch workloads with 1 and 4 workers and asserts
 //! exact (`==`, i.e. bit-level for every float) equality.
 //!
 //! All checks live in one `#[test]` because the worker-count override is
 //! process-global: concurrent tests must not flip it under each other.
 
+use starnuma::obs::ObsSink;
 use starnuma::sweep::{sweep_cxl_latency, sweep_pool_capacity, SweepPoint};
-use starnuma::{set_global_jobs, Experiment, RunResult, ScaleConfig, SystemKind, Workload};
+use starnuma::{
+    run_best, set_global_jobs, Experiment, RunResult, ScaleConfig, SystemKind, Workload,
+};
 
 fn tiny() -> ScaleConfig {
     ScaleConfig {
@@ -34,6 +37,27 @@ fn compare_results() -> Vec<RunResult> {
     .collect()
 }
 
+/// The same systems as one [`run_best`] batch, with the baseline
+/// requested twice: the batch runs it once and both requests get it.
+fn batch_results() -> Vec<RunResult> {
+    let requests = [
+        SystemKind::Baseline,
+        SystemKind::StarNuma,
+        SystemKind::StarNumaT0,
+        SystemKind::Baseline,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let candidates = Experiment::new(Workload::Tc, kind, tiny()).candidates();
+        (Workload::Tc, candidates)
+    })
+    .collect();
+    run_best(requests, &ObsSink::disabled())
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect()
+}
+
 fn capacity_sweep() -> Vec<SweepPoint> {
     sweep_pool_capacity(Workload::Bfs, &tiny(), &[0.05, 0.1, 0.2, 0.4])
 }
@@ -48,11 +72,13 @@ fn parallel_runs_are_bit_identical_to_sequential() {
     let seq_compare = compare_results();
     let seq_capacity = capacity_sweep();
     let seq_latency = latency_sweep();
+    let seq_batch = batch_results();
 
     set_global_jobs(4);
     let par_compare = compare_results();
     let par_capacity = capacity_sweep();
     let par_latency = latency_sweep();
+    let par_batch = batch_results();
 
     assert_eq!(
         seq_compare, par_compare,
@@ -66,6 +92,17 @@ fn parallel_runs_are_bit_identical_to_sequential() {
         seq_latency, par_latency,
         "latency sweep diverges across worker counts"
     );
+
+    // One batch equals the per-experiment runs at either worker count,
+    // and the duplicated request gets the identical result.
+    for batch in [&seq_batch, &par_batch] {
+        assert_eq!(
+            batch[..3],
+            seq_compare[..],
+            "batch diverges from Experiment::run"
+        );
+        assert_eq!(batch[3], batch[0], "the duplicated request diverges");
+    }
 
     // The runs did something: IPC is positive everywhere.
     assert!(seq_compare.iter().all(|r| r.ipc > 0.0));
